@@ -12,8 +12,11 @@
 //!    stay zero, preserving the `cos(0, ·) = 0` convention of
 //!    [`daakg_autograd::tensor::cosine`]), after which cosine similarity is
 //!    a plain dot product;
-//! 2. whole query *blocks* are scored as one cache-blocked
-//!    [`Tensor::matmul_transpose`] (`Q · Rᵀ`) instead of `n` scalar loops;
+//! 2. whole query *blocks* are scored against the transposed candidate
+//!    matrix by one register-tiled scan kernel instead of `n` scalar
+//!    loops — the same kernel feeds top-k selection and
+//!    [`BatchedSimilarity::round_scan`], the fused Eq. 6 + mining pass of
+//!    a training round;
 //! 3. when only the best `k` candidates are needed, selection uses a
 //!    **bounded binary min-heap** (`O(n log k)`) instead of sorting the full
 //!    candidate vector.
@@ -32,14 +35,43 @@
 //! makes a full-probe IVF search bitwise comparable to this exhaustive
 //! engine.
 
+use crate::weights::EntityWeights;
 use daakg_autograd::tensor::dot_unrolled as dot;
 use daakg_autograd::Tensor;
-use daakg_index::scan::{normalize_rows_cosine, scan_block, top_k_of_scores, TopKSelector};
+use daakg_index::scan::{
+    normalize_rows_cosine, scan_block, scan_block_observed, top_k_of_scores, ScoreSink,
+    TopKSelector,
+};
 
 /// Number of query rows scored per blocked matmul. 64 query rows × 10k
 /// candidates × 4 B = 2.5 MB of scores per block — large enough to amortize
 /// the kernel, small enough to stay cache- and memory-friendly.
 const QUERY_BLOCK: usize = 64;
+
+/// The result of [`BatchedSimilarity::round_scan`].
+#[derive(Debug, Clone)]
+pub struct RoundScan {
+    /// Each query's best candidate and its score, `None` when there are no
+    /// candidates — bitwise `top_k_block(.., 1)`.
+    pub best: Vec<Option<(u32, f32)>>,
+    /// The Eq. 6 weights: row maxima (`left`) and column maxima (`right`)
+    /// of the similarity matrix, negatives clamped to zero.
+    pub weights: EntityWeights,
+}
+
+/// Per-candidate maxima of the scanned scores, starting at zero (so
+/// negatives clamp to zero) — the column side of Eq. 6.
+struct ColumnMax(Vec<f32>);
+
+impl ScoreSink for ColumnMax {
+    #[inline(always)]
+    fn observe(&mut self, id: u32, score: f32) {
+        let c = &mut self.0[id as usize];
+        if score > *c {
+            *c = score;
+        }
+    }
+}
 
 /// Pre-normalized similarity engine between a query matrix (mapped left
 /// embeddings) and a candidate matrix (right embeddings).
@@ -141,13 +173,6 @@ impl BatchedSimilarity {
         out
     }
 
-    /// The full similarity block for the query rows `queries` — one blocked
-    /// `Q · Rᵀ` product (`|queries| × n₂`).
-    pub fn score_block(&self, queries: &[u32]) -> Tensor {
-        let q = self.queries.gather_rows(queries);
-        q.matmul_transpose(&self.candidates)
-    }
-
     /// Best `k` candidates of one query, descending score, index-ascending
     /// on ties. `O(n log k)` via a bounded heap.
     pub fn top_k(&self, query: u32, k: usize) -> Vec<(u32, f32)> {
@@ -182,6 +207,75 @@ impl BatchedSimilarity {
             out.extend(selectors.into_iter().map(TopKSelector::into_sorted));
         }
         out
+    }
+
+    /// One fused pass over the whole `n₁ × n₂` similarity matrix for a
+    /// training round: each query's best candidate together with the Eq. 6
+    /// row and column maxima.
+    ///
+    /// The queries split into contiguous ranges scanned in parallel
+    /// ([`daakg_parallel::par_map_ranges`]) by the shared scan kernel; each
+    /// worker keeps its own column maxima and the merge takes their `max`,
+    /// which is the same in any order. A score does not depend on which
+    /// panel or tile computed it, so `best` is bitwise what
+    /// [`BatchedSimilarity::top_k_block`] returns for `k = 1`, at any
+    /// thread count.
+    pub fn round_scan(&self) -> RoundScan {
+        self.round_scan_in(daakg_parallel::num_threads())
+    }
+
+    /// [`BatchedSimilarity::round_scan`] over `parts` query ranges.
+    pub(crate) fn round_scan_in(&self, parts: usize) -> RoundScan {
+        let (n1, n2, d) = (
+            self.num_queries(),
+            self.num_candidates(),
+            self.queries.cols(),
+        );
+        let shards = daakg_parallel::par_map_ranges(n1, parts, |range| {
+            let mut best = Vec::with_capacity(range.len());
+            let mut cols = ColumnMax(vec![0.0; n2]);
+            let mut start = range.start;
+            while start < range.end {
+                let end = (start + QUERY_BLOCK).min(range.end);
+                let mut selectors: Vec<TopKSelector> =
+                    (start..end).map(|_| TopKSelector::new(1)).collect();
+                scan_block_observed(
+                    &self.queries.as_slice()[start * d..end * d],
+                    d,
+                    end - start,
+                    self.candidates_t.as_slice(),
+                    n2,
+                    &self.identity_ids,
+                    &mut selectors,
+                    &mut cols,
+                );
+                best.extend(selectors.into_iter().map(|s| s.into_sorted().pop()));
+                start = end;
+            }
+            (best, cols.0)
+        });
+        let mut best = Vec::with_capacity(n1);
+        let mut right = vec![0.0f32; n2];
+        for (shard_best, shard_cols) in shards {
+            best.extend(shard_best);
+            for (r, c) in right.iter_mut().zip(shard_cols) {
+                if c > *r {
+                    *r = c;
+                }
+            }
+        }
+        // Row maxima clamp negatives to zero, exactly as the column side.
+        let left = best
+            .iter()
+            .map(|b| match *b {
+                Some((_, s)) if s > 0.0 => s,
+                _ => 0.0,
+            })
+            .collect();
+        RoundScan {
+            best,
+            weights: EntityWeights { left, right },
+        }
     }
 
     /// The complete descending ranking of one query (all `n₂` candidates).
@@ -322,6 +416,62 @@ mod tests {
             for (a, b) in ranking.iter().zip(&single) {
                 assert_eq!(a.0, b.0, "query {qi}");
                 assert!((a.1 - b.1).abs() < 1e-5);
+            }
+        }
+    }
+
+    #[test]
+    fn round_scan_top1_matches_top_k_block_bitwise() {
+        // (n₁, n₂, d, duplicate rows): n₁ % 4 ≠ 0 exercises the query
+        // tail, n₂ < 16 only the candidate tail, and the duplicates tie
+        // across the 16-column tile boundary (columns 3, 15, 16, 31).
+        let cases = [
+            (13usize, 40usize, 8usize, true),
+            (7, 9, 6, false),
+            (66, 37, 12, true),
+            (5, 16, 4, false),
+            (4, 33, 5, true),
+        ];
+        for (case, &(n1, n2, d, dup)) in cases.iter().enumerate() {
+            let mut q = random_matrix(n1, d, 300 + case as u64);
+            let mut c = random_matrix(n2, d, 400 + case as u64);
+            if dup {
+                let row = c.row(3).to_vec();
+                for j in [15, 16, 31] {
+                    if j < n2 {
+                        c.row_mut(j).copy_from_slice(&row);
+                    }
+                }
+                q.row_mut(0).copy_from_slice(&row);
+                q.row_mut(n1 - 1).copy_from_slice(&row);
+            }
+            let engine = BatchedSimilarity::new(&q, &c);
+            let queries: Vec<u32> = (0..n1 as u32).collect();
+            let want: Vec<Option<(u32, u32)>> = engine
+                .top_k_block(&queries, 1)
+                .iter()
+                .map(|r| r.first().map(|&(j, s)| (j, s.to_bits())))
+                .collect();
+            let naive = crate::weights::EntityWeights::compute(&q, &c);
+            for parts in [1, 2] {
+                let scan = engine.round_scan_in(parts);
+                let got: Vec<Option<(u32, u32)>> = scan
+                    .best
+                    .iter()
+                    .map(|b| b.map(|(j, s)| (j, s.to_bits())))
+                    .collect();
+                assert_eq!(got, want, "case {case} parts {parts}");
+                if dup {
+                    assert_eq!(scan.best[0].map(|b| b.0), Some(3), "lowest tied id wins");
+                }
+                let w = &scan.weights;
+                for (a, b) in w.left.iter().zip(&naive.left) {
+                    assert!((a - b).abs() < 1e-5, "case {case}: left {a} vs {b}");
+                }
+                for (a, b) in w.right.iter().zip(&naive.right) {
+                    assert!((a - b).abs() < 1e-5, "case {case}: right {a} vs {b}");
+                }
+                assert_eq!((w.left.len(), w.right.len()), (n1, n2));
             }
         }
     }

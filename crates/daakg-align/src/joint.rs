@@ -15,8 +15,9 @@
 //!    focal-loss pass (`(1−p)^γ·(−log p)`) concentrates on the freshly
 //!    labeled, still-misclassified pairs.
 //!
-//! Semi-supervised mining uses the snapshot's batched top-k engine, so a
-//! round costs one blocked matmul over the query block instead of a naive
+//! The Eq. 6 weights and the semi-supervised mining come from one fused,
+//! parallel scan of the snapshot's similarity engine
+//! ([`crate::batched::BatchedSimilarity::round_scan`]) instead of a naive
 //! `O(n²·d)` cosine sweep.
 
 use crate::config::JointConfig;
@@ -82,6 +83,54 @@ impl LabeledMatches {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Check every id against the graphs it indexes (`kg1` left, `kg2`
+    /// right). Out-of-range entity ids are
+    /// [`DaakgError::UnknownEntity`]; relation and class ids are
+    /// [`DaakgError::InvalidConfig`].
+    pub fn validate(&self, kg1: &KnowledgeGraph, kg2: &KnowledgeGraph) -> Result<(), DaakgError> {
+        for &(l, r) in &self.entities {
+            check_entity_pair(kg1, kg2, l, r)?;
+        }
+        let schema = [
+            (
+                "relation",
+                &self.relations,
+                kg1.num_relations(),
+                kg2.num_relations(),
+            ),
+            ("class", &self.classes, kg1.num_classes(), kg2.num_classes()),
+        ];
+        for (kind, pairs, n1, n2) in schema {
+            if let Some(&(l, r)) = pairs
+                .iter()
+                .find(|&&(l, r)| l as usize >= n1 || r as usize >= n2)
+            {
+                return Err(DaakgError::invalid(
+                    "LabeledMatches",
+                    format!(
+                        "{kind} pair ({l}, {r}) is out of range: the graphs hold {n1} and {n2}"
+                    ),
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Check one `(left, right)` entity pair against both graphs.
+pub(crate) fn check_entity_pair(
+    kg1: &KnowledgeGraph,
+    kg2: &KnowledgeGraph,
+    l: u32,
+    r: u32,
+) -> Result<(), DaakgError> {
+    for (kg, id) in [(kg1, l), (kg2, r)] {
+        if id as usize >= kg.num_entities() {
+            return Err(DaakgError::unknown_entity(kg.name(), id, kg.num_entities()));
+        }
+    }
+    Ok(())
 }
 
 /// The joint alignment model: everything needed to train and snapshot.
@@ -301,21 +350,17 @@ impl JointModel {
     }
 
     /// Rebuild the snapshot-derived round state: dangling-entity weights
-    /// (Eq. 6) and, when enabled, the mined potential matches (Eq. 10).
+    /// (Eq. 6) and, when enabled, the mined potential matches (Eq. 10),
+    /// both from one fused scan of the similarity matrix.
     fn refresh_round_state(&mut self, kg1: &KnowledgeGraph, kg2: &KnowledgeGraph) {
-        let snap = self.snapshot(kg1, kg2);
-        let engine = snap.entity_engine();
-        // Eq. 6 weights through the batched engine (block maxima).
-        self.weights = EntityWeights::from_engine(engine);
-        let queries: Vec<u32> = (0..kg1.num_entities() as u32).collect();
-
+        let scan = self.snapshot(kg1, kg2).entity_engine().round_scan();
+        self.weights = scan.weights;
         self.last_mined = if self.cfg.use_semi_supervision {
-            let top = snap.top_k_entities_block(&queries, 1);
-            let scored = queries.iter().zip(top).filter_map(|(&q, mut best)| {
-                best.pop().map(|(e2, s)| {
+            let scored = scan.best.iter().enumerate().filter_map(|(q, best)| {
+                best.map(|(e2, s)| {
                     (
                         ElementPair::Entity(
-                            daakg_graph::EntityId::new(q),
+                            daakg_graph::EntityId::new(q as u32),
                             daakg_graph::EntityId::new(e2),
                         ),
                         s,

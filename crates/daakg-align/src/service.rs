@@ -59,7 +59,7 @@ use daakg_telemetry::{EventKind, Telemetry, TelemetryConfig};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serving-side configuration of an [`AlignmentService`]: whether
 /// published snapshots carry an IVF index, and which [`QueryMode`] the
@@ -1148,9 +1148,30 @@ impl AlignmentService {
     /// could already observe a concurrent publisher's newer version).
     /// Queries keep running on the previous version until the publish.
     pub fn train(&self, labels: &LabeledMatches) -> Result<VersionedSnapshot, DaakgError> {
-        let mut model = self.model.lock().expect("model mutex poisoned");
+        let mut model = self.training_model(labels, &[])?;
         let snap = self.prepare(model.train(&self.kg1, &self.kg2, labels));
         self.publish_trained(snap)
+    }
+
+    /// Validate a training call's ids, then take the model lock. An
+    /// out-of-range id would panic inside training with the lock held and
+    /// poison it for every later call, so ids are typed errors here
+    /// (entities [`DaakgError::UnknownEntity`], relations and classes
+    /// [`DaakgError::InvalidConfig`]). A lock an earlier training call
+    /// poisoned anyway is [`DaakgError::Panicked`], not a panic.
+    fn training_model(
+        &self,
+        labels: &LabeledMatches,
+        inferred: &[(u32, u32, f32)],
+    ) -> Result<MutexGuard<'_, JointModel>, DaakgError> {
+        labels.validate(&self.kg1, &self.kg2)?;
+        for &(l, r, _) in inferred {
+            crate::joint::check_entity_pair(&self.kg1, &self.kg2, l, r)?;
+        }
+        self.model.lock().map_err(|_| DaakgError::Panicked {
+            context: "training",
+            message: "an earlier training call panicked while holding the model lock".into(),
+        })
     }
 
     /// Publish a training result: supersede the pending live delta (if
@@ -1185,7 +1206,7 @@ impl AlignmentService {
         labels: &LabeledMatches,
         epochs: usize,
     ) -> Result<Versioned<Vec<f32>>, DaakgError> {
-        let mut model = self.model.lock().expect("model mutex poisoned");
+        let mut model = self.training_model(labels, &[])?;
         let losses = model.align_rounds(&self.kg1, &self.kg2, labels, epochs);
         let snap = self.prepare(model.snapshot(&self.kg1, &self.kg2));
         let published = self.publish_trained(snap)?;
@@ -1212,7 +1233,7 @@ impl AlignmentService {
         inferred: &[(u32, u32, f32)],
         accept: f32,
     ) -> Result<VersionedSnapshot, DaakgError> {
-        let mut model = self.model.lock().expect("model mutex poisoned");
+        let mut model = self.training_model(labels, inferred)?;
         let snap = self
             .prepare(model.fine_tune_with_inferred(&self.kg1, &self.kg2, labels, inferred, accept));
         self.publish_trained(snap)
@@ -1764,6 +1785,57 @@ mod tests {
         }
         let err = svc.batch_top_k(&[0, n], 2).unwrap_err();
         assert!(matches!(err, DaakgError::UnknownEntity { .. }));
+    }
+
+    #[test]
+    fn out_of_range_training_ids_are_typed_errors_and_training_survives() {
+        let svc = example_service();
+        let (n1, n2) = (
+            svc.kg1().num_entities() as u32,
+            svc.kg2().num_entities() as u32,
+        );
+        let mut bad = example_labels(&svc);
+        bad.entities.push((n1, 0));
+        match svc.train(&bad) {
+            Err(DaakgError::UnknownEntity { id, bound, .. }) => {
+                assert_eq!((id, bound), (n1, n1 as usize));
+            }
+            other => panic!("expected UnknownEntity, got {other:?}"),
+        }
+        let mut bad = example_labels(&svc);
+        bad.relations.push((0, svc.kg2().num_relations() as u32));
+        let err = svc.align_rounds(&bad, 1).unwrap_err();
+        assert!(matches!(err, DaakgError::InvalidConfig { .. }), "{err}");
+        let mut bad = example_labels(&svc);
+        bad.classes.push((svc.kg1().num_classes() as u32, 0));
+        let err = svc.fine_tune(&bad).unwrap_err();
+        assert!(matches!(err, DaakgError::InvalidConfig { .. }), "{err}");
+        let labels = example_labels(&svc);
+        let err = svc
+            .fine_tune_with_inferred(&labels, &[(0, n2 + 3, 0.9)], 0.5)
+            .unwrap_err();
+        assert!(matches!(err, DaakgError::UnknownEntity { .. }), "{err}");
+        // Nothing was published and the model lock is healthy.
+        assert_eq!(svc.version().get(), 1);
+        assert_eq!(svc.train(&labels).unwrap().version.get(), 2);
+    }
+
+    #[test]
+    fn poisoned_model_lock_is_a_typed_training_error() {
+        let svc = example_service();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = svc.model.lock().expect("fresh lock");
+                panic!("simulated panic inside training");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        match svc.train(&example_labels(&svc)) {
+            Err(DaakgError::Panicked { context, .. }) => assert_eq!(context, "training"),
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        // Serving is unaffected.
+        assert!(svc.top_k(0, 3).is_ok());
     }
 
     #[test]

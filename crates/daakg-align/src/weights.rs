@@ -32,6 +32,10 @@ impl EntityWeights {
     ///
     /// Negative similarities are clamped to zero so weights stay valid
     /// convex-combination coefficients.
+    ///
+    /// This is the naive reference. Training computes the same weights
+    /// with [`BatchedSimilarity::round_scan`](crate::batched::BatchedSimilarity::round_scan),
+    /// the blocked parallel pass that also mines each query's best match.
     pub fn compute(mapped_left: &Tensor, right: &Tensor) -> Self {
         let n1 = mapped_left.rows();
         let n2 = right.rows();
@@ -55,63 +59,6 @@ impl EntityWeights {
         }
     }
 
-    /// [`EntityWeights::compute`] served by a pre-normalized
-    /// [`BatchedSimilarity`](crate::batched::BatchedSimilarity) engine:
-    /// row maxima of the similarity matrix give `w_e`, column maxima give
-    /// `w_{e'}`, computed block-by-block so no `n₁ × n₂` matrix is ever
-    /// materialized. This is the production path of Eq. 6 — `compute`
-    /// remains the naive reference.
-    pub fn from_engine(engine: &crate::batched::BatchedSimilarity) -> Self {
-        let n1 = engine.num_queries();
-        let n2 = engine.num_candidates();
-        let mut left = vec![0.0f32; n1];
-        let mut right = vec![0.0f32; n2];
-        let queries: Vec<u32> = (0..n1 as u32).collect();
-        for chunk in queries.chunks(64) {
-            let block = engine.score_block(chunk);
-            for (bi, &q) in chunk.iter().enumerate() {
-                for (j, &s) in block.row(bi).iter().enumerate() {
-                    // Negative similarities clamp to zero, as in `compute`.
-                    let s = s.max(0.0);
-                    if s > left[q as usize] {
-                        left[q as usize] = s;
-                    }
-                    if s > right[j] {
-                        right[j] = s;
-                    }
-                }
-            }
-        }
-        Self { left, right }
-    }
-
-    /// Like [`EntityWeights::compute`], but only over the candidate pairs of
-    /// a blocked pool: `candidates` lists `(left, right)` index pairs. Pairs
-    /// outside the pool cannot contribute, mirroring how the pipeline
-    /// restricts all O(n²) work to the pool (Sect. 6.1).
-    pub fn compute_over_pairs(
-        n_left: usize,
-        n_right: usize,
-        mapped_left: &Tensor,
-        right: &Tensor,
-        candidates: impl IntoIterator<Item = (u32, u32)>,
-    ) -> Self {
-        let mut w = Self {
-            left: vec![0.0; n_left],
-            right: vec![0.0; n_right],
-        };
-        for (i, j) in candidates {
-            let s = cosine(mapped_left.row(i as usize), right.row(j as usize)).max(0.0);
-            if s > w.left[i as usize] {
-                w.left[i as usize] = s;
-            }
-            if s > w.right[j as usize] {
-                w.right[j as usize] = s;
-            }
-        }
-        w
-    }
-
     /// The pairwise triple weight `min(w_e, w_{e'})` used in Eq. (7) — here
     /// for two entities of the *same* KG side (`left`).
     pub fn triple_weight_left(&self, head: u32, tail: u32) -> f32 {
@@ -129,7 +76,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_engine_matches_naive_compute() {
+    fn round_scan_weights_match_naive_compute() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
@@ -142,7 +89,7 @@ mod tests {
         let right = mk(70, &mut rng);
         let naive = EntityWeights::compute(&mapped_left, &right);
         let engine = crate::batched::BatchedSimilarity::new(&mapped_left, &right);
-        let fast = EntityWeights::from_engine(&engine);
+        let fast = engine.round_scan().weights;
         assert_eq!(naive.left.len(), fast.left.len());
         assert_eq!(naive.right.len(), fast.right.len());
         for (a, b) in naive
@@ -183,18 +130,5 @@ mod tests {
         };
         assert!((w.triple_weight_left(0, 1) - 0.2).abs() < 1e-6);
         assert!((w.triple_weight_right(0, 1) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pool_restricted_weights_ignore_outside_pairs() {
-        let mapped_left = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let right = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        // Pool contains only the cross pair (0, 1): similarity 0.
-        let w = EntityWeights::compute_over_pairs(2, 2, &mapped_left, &right, [(0u32, 1u32)]);
-        assert_eq!(w.left[0], 0.0);
-        assert_eq!(w.left[1], 0.0); // not in pool at all
-        let w2 = EntityWeights::compute_over_pairs(2, 2, &mapped_left, &right, [(0, 0), (1, 1)]);
-        assert!((w2.left[0] - 1.0).abs() < 1e-6);
-        assert!((w2.right[1] - 1.0).abs() < 1e-6);
     }
 }

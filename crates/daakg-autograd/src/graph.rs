@@ -940,24 +940,27 @@ impl Graph {
             }
             Op::CosineRows(a, b) => {
                 let (a, b) = (*a, *b);
-                let ta = self.value(a).clone();
-                let tb = self.value(b).clone();
+                let (ta, tb) = (self.value(a), self.value(b));
                 let mut ga = Tensor::zeros(ta.rows(), ta.cols());
                 let mut gb = Tensor::zeros(tb.rows(), tb.cols());
                 for r in 0..ta.rows() {
-                    let x = ta.row(r);
-                    let y = tb.row(r);
+                    let (x, y) = (ta.row(r), tb.row(r));
                     let nx = x.iter().map(|v| v * v).sum::<f32>().sqrt();
                     let ny = y.iter().map(|v| v * v).sum::<f32>().sqrt();
                     if nx <= NORM_EPS || ny <= NORM_EPS {
                         continue;
                     }
                     let dot: f32 = x.iter().zip(y).map(|(p, q)| p * q).sum();
-                    let cosv = dot / (nx * ny);
+                    // The norm products are hoisted, but every element
+                    // still divides by them (no reciprocal-multiply), so
+                    // the gradients are bitwise the textbook formula.
+                    let (nxy, nxx, nyy) = (nx * ny, nx * nx, ny * ny);
+                    let cosv = dot / nxy;
                     let s = g.get(r, 0);
-                    for c in 0..ta.cols() {
-                        ga.set(r, c, s * (y[c] / (nx * ny) - cosv * x[c] / (nx * nx)));
-                        gb.set(r, c, s * (x[c] / (nx * ny) - cosv * y[c] / (ny * ny)));
+                    let rows = ga.row_mut(r).iter_mut().zip(gb.row_mut(r));
+                    for ((da, db), (&xc, &yc)) in rows.zip(x.iter().zip(y)) {
+                        *da = s * (yc / nxy - cosv * xc / nxx);
+                        *db = s * (xc / nxy - cosv * yc / nyy);
                     }
                 }
                 self.accumulate(a, ga);
@@ -1190,6 +1193,59 @@ mod tests {
         // cos(x, x) = 1 is a maximum: gradient ~ 0.
         for v in g.grad(a).unwrap().as_slice() {
             assert!(v.abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn cosine_rows_backward_matches_the_reference_formula_bitwise() {
+        let x = Tensor::from_rows(&[
+            &[0.3, -1.2, 2.0, 0.5],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[1e-20, 0.0, -1e-20, 0.0],
+            &[1e-6, -2e-6, 0.0, 1e-6],
+            &[1.0, 2.0, 3.0, 4.0],
+            &[-0.7, 0.1, 0.0, 0.9],
+        ]);
+        let y = Tensor::from_rows(&[
+            &[1.1, 0.4, -0.3, 2.2],
+            &[0.5, 0.5, 0.5, 0.5],
+            &[1.0, 0.0, 0.0, 1.0],
+            &[0.2, 3.0, -1.0, 0.1],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[1e-7, -2.0, 0.3, 0.3],
+        ]);
+        let w = Tensor::from_vec(6, 1, vec![0.7, -1.3, 2.0, 0.25, -0.9, 1.5]);
+        let mut g = Graph::new();
+        let (a, b) = (g.leaf(x.clone()), g.leaf(y.clone()));
+        let c = g.cosine_rows(a, b);
+        let wv = g.leaf(w.clone());
+        let weighted = g.mul(c, wv);
+        let loss = g.sum_all(weighted);
+        g.backward(loss);
+
+        // The textbook per-element formula, written out in full.
+        let (mut ga, mut gb) = (Tensor::zeros(6, 4), Tensor::zeros(6, 4));
+        for r in 0..6 {
+            let (xr, yr) = (x.row(r), y.row(r));
+            let nx = xr.iter().map(|v| v * v).sum::<f32>().sqrt();
+            let ny = yr.iter().map(|v| v * v).sum::<f32>().sqrt();
+            if nx <= NORM_EPS || ny <= NORM_EPS {
+                continue;
+            }
+            let dot: f32 = xr.iter().zip(yr).map(|(p, q)| p * q).sum();
+            let cosv = dot / (nx * ny);
+            let s = w.get(r, 0);
+            for c in 0..4 {
+                ga.set(r, c, s * (yr[c] / (nx * ny) - cosv * xr[c] / (nx * nx)));
+                gb.set(r, c, s * (xr[c] / (nx * ny) - cosv * yr[c] / (ny * ny)));
+            }
+        }
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(g.grad(a).unwrap()), bits(&ga));
+        assert_eq!(bits(g.grad(b).unwrap()), bits(&gb));
+        // Zero and tiny-norm rows get no gradient at all.
+        for r in [1, 2, 4] {
+            assert!(g.grad(a).unwrap().row(r).iter().all(|v| *v == 0.0));
         }
     }
 

@@ -165,7 +165,190 @@ struct AdamState {
     row_t: Option<Vec<u64>>,
 }
 
+/// One step's bias corrections `[1 − β₁ˢ, 1 − β₂ˢ]`.
+type Bias = [f32; 2];
+
+/// The per-call constants of the Adam update. `c1`/`c2` are `1 − β₁` and
+/// `1 − β₂`, the values the textbook formula recomputes per element.
+#[derive(Clone, Copy)]
+struct AdamConsts {
+    b1: f32,
+    b2: f32,
+    c1: f32,
+    c2: f32,
+    lr: f32,
+    eps: f32,
+}
+
+impl AdamConsts {
+    fn of(cfg: &AdamConfig) -> Self {
+        Self {
+            b1: cfg.beta1,
+            b2: cfg.beta2,
+            c1: 1.0 - cfg.beta1,
+            c2: 1.0 - cfg.beta2,
+            lr: cfg.lr,
+            eps: cfg.eps,
+        }
+    }
+
+    /// One Adam update of one element. Every path — dense step, sparse
+    /// step, zero-gradient replay (`g = 0.0`) — runs exactly this
+    /// operation sequence, which is what makes lazily-updated rows equal
+    /// the dense trajectory bit for bit. Keep it free of
+    /// reciprocal-multiplies, fused multiply-adds and reassociation.
+    #[inline(always)]
+    fn elem(&self, p: &mut f32, m: &mut f32, v: &mut f32, g: f32, [bc1, bc2]: Bias) {
+        *m = self.b1 * *m + self.c1 * g;
+        *v = self.b2 * *v + self.c2 * g * g;
+        let mh = *m / bc1;
+        let vh = *v / bc2;
+        *p -= self.lr * mh / (vh.sqrt() + self.eps);
+    }
+}
+
+/// Elements per register chunk of the update kernel: one AVX2 vector.
+const ADAM_LANES: usize = 8;
+
+/// `W` elements held in registers: replay every zero-gradient step of
+/// `replay`, then apply `step` (gradient and bias corrections) if given.
+// Index-based lane loops are deliberate: the lanes must be addressed by
+// index for the vectorizer to keep them in registers.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn adam_lanes<const W: usize>(
+    k: &AdamConsts,
+    p: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    replay: &[Bias],
+    step: Option<(&[f32], Bias)>,
+) {
+    let mut pl: [f32; W] = (&*p).try_into().expect("chunk of W elements");
+    let mut ml: [f32; W] = (&*m).try_into().expect("chunk of W elements");
+    let mut vl: [f32; W] = (&*v).try_into().expect("chunk of W elements");
+    for &bc in replay {
+        for i in 0..W {
+            k.elem(&mut pl[i], &mut ml[i], &mut vl[i], 0.0, bc);
+        }
+    }
+    if let Some((g, bc)) = step {
+        for i in 0..W {
+            k.elem(&mut pl[i], &mut ml[i], &mut vl[i], g[i], bc);
+        }
+    }
+    p.copy_from_slice(&pl);
+    m.copy_from_slice(&ml);
+    v.copy_from_slice(&vl);
+}
+
+/// The shared Adam update/replay kernel over one row (for the dense step,
+/// over the whole flat tensor). It walks element-major: each 8-lane chunk
+/// runs every replayed step and then the gradient step in registers
+/// before the next chunk loads, so a row that lagged `s` steps is read and
+/// written once, not `s` times.
+///
+/// `#[inline(always)]` so the `#[target_feature]` wrapper below inlines
+/// this body and re-vectorizes it with AVX2.
+#[inline(always)]
+fn adam_row(
+    k: &AdamConsts,
+    p: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    replay: &[Bias],
+    step: Option<(&[f32], Bias)>,
+) {
+    let n = p.len();
+    assert!(m.len() == n && v.len() == n, "Adam state width mismatch");
+    if let Some((g, _)) = step {
+        assert_eq!(g.len(), n, "gradient width mismatch");
+    }
+    let split = n - n % ADAM_LANES;
+    for i in (0..split).step_by(ADAM_LANES) {
+        let r = i..i + ADAM_LANES;
+        let g = step.map(|(g, bc)| (&g[r.clone()], bc));
+        adam_lanes::<ADAM_LANES>(
+            k,
+            &mut p[r.clone()],
+            &mut m[r.clone()],
+            &mut v[r],
+            replay,
+            g,
+        );
+    }
+    for i in split..n {
+        let g = step.map(|(g, bc)| (&g[i..=i], bc));
+        adam_lanes::<1>(k, &mut p[i..=i], &mut m[i..=i], &mut v[i..=i], replay, g);
+    }
+}
+
+/// AVX2 re-compilation of [`adam_row`].
+///
+/// # Safety
+/// Caller must verify `avx2` is available at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn adam_row_avx2(
+    k: &AdamConsts,
+    p: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    replay: &[Bias],
+    step: Option<(&[f32], Bias)>,
+) {
+    adam_row(k, p, m, v, replay, step)
+}
+
+/// Catch one row up through the zero-gradient steps `replay`, then apply
+/// `step` if given, with the widest compiled-in kernel the running CPU
+/// supports (the same runtime dispatch as `daakg_index::scan_block`). A
+/// row whose moments are all zero (never touched since the state was
+/// created) skips the replay: each of its zero-gradient updates would be a
+/// numerical no-op.
+fn update_row(
+    k: &AdamConsts,
+    p: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    replay: &[Bias],
+    step: Option<(&[f32], Bias)>,
+) {
+    let idle = |x: &[f32]| x.iter().all(|e| *e == 0.0);
+    let replay = if replay.is_empty() || (idle(m) && idle(v)) {
+        &[][..]
+    } else {
+        replay
+    };
+    if replay.is_empty() && step.is_none() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the feature was just verified on this CPU.
+        return unsafe { adam_row_avx2(k, p, m, v, replay, step) };
+    }
+    adam_row(k, p, m, v, replay, step)
+}
+
 /// The Adam optimizer (Kingma & Ba) with per-parameter state.
+///
+/// # Update kernel
+///
+/// Every update — the dense [`Optimizer::step`], the sparse
+/// [`Optimizer::step_sparse`], and the zero-gradient catch-up of
+/// [`Adam::refresh_rows`] / [`Adam::flush_param`] — runs one shared kernel.
+/// Bias corrections come from a per-step table `(1 − β₁ˢ, 1 − β₂ˢ)`,
+/// filled once per step count with the same `powi` the textbook formula
+/// calls, instead of two `powi` per row per step. The kernel walks a row
+/// element-major: for each 8-lane chunk, every skipped step and then the
+/// new gradient step run in registers, so a row that lagged `s` steps is
+/// loaded and stored once. Per element it keeps the exact scalar
+/// operation sequence — no reciprocal-multiply, no fused multiply-add, no
+/// reassociation — so the vectorized kernel reproduces the per-step scalar
+/// recurrence bit for bit. On x86-64 the kernel is compiled a second time
+/// for AVX2 and selected by runtime detection, like
+/// `daakg_index::scan_block`.
 ///
 /// # Sparse / lazy updates and the deferred-decay contract
 ///
@@ -195,6 +378,9 @@ struct AdamState {
 /// so the catch-up skips the arithmetic and only moves the watermark.
 pub struct Adam {
     cfg: AdamConfig,
+    /// `bias[s]` holds step `s`'s corrections (`bias[0]` is never read),
+    /// grown on demand to the largest step count any parameter reached.
+    bias: Vec<Bias>,
     state: BTreeMap<String, AdamState>,
 }
 
@@ -203,6 +389,7 @@ impl Adam {
     pub fn new(cfg: AdamConfig) -> Self {
         Self {
             cfg,
+            bias: Vec::new(),
             state: BTreeMap::new(),
         }
     }
@@ -225,47 +412,13 @@ impl Adam {
         self.cfg.lr = lr;
     }
 
-    /// One Adam update for row `r` at step `s`; `grad_row = None` is the
-    /// zero-gradient replay (identical arithmetic to a dense step with
-    /// `g = 0`, so lazily-updated rows match the dense trajectory exactly).
-    fn row_update(
-        cfg: &AdamConfig,
-        s: u64,
-        p: &mut [f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        grad_row: Option<&[f32]>,
-    ) {
-        let (b1, b2) = (cfg.beta1, cfg.beta2);
-        let bc1 = 1.0 - b1.powi(s as i32);
-        let bc2 = 1.0 - b2.powi(s as i32);
-        for i in 0..p.len() {
-            let g = grad_row.map_or(0.0, |gr| gr[i]);
-            m[i] = b1 * m[i] + (1.0 - b1) * g;
-            v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-            let mh = m[i] / bc1;
-            let vh = v[i] / bc2;
-            p[i] -= cfg.lr * mh / (vh.sqrt() + cfg.eps);
+    /// The bias table extended through step `t`.
+    fn bias_through<'a>(bias: &'a mut Vec<Bias>, cfg: &AdamConfig, t: u64) -> &'a [Bias] {
+        while bias.len() as u64 <= t {
+            let s = bias.len() as i32;
+            bias.push([1.0 - cfg.beta1.powi(s), 1.0 - cfg.beta2.powi(s)]);
         }
-    }
-
-    /// Replay the zero-gradient steps `(from, to]` for one row. Skips the
-    /// arithmetic when the row's moments are all zero (every update would
-    /// be an exact no-op).
-    fn catch_up_row(
-        cfg: &AdamConfig,
-        from: u64,
-        to: u64,
-        p: &mut [f32],
-        m: &mut [f32],
-        v: &mut [f32],
-    ) {
-        if from >= to || (m.iter().all(|x| *x == 0.0) && v.iter().all(|x| *x == 0.0)) {
-            return;
-        }
-        for s in (from + 1)..=to {
-            Self::row_update(cfg, s, p, m, v, None);
-        }
+        bias
     }
 
     /// Bring the given rows of a lazily-updated parameter current, so a
@@ -279,20 +432,16 @@ impl Adam {
             return;
         };
         let t = st.t;
+        let bias = Self::bias_through(&mut self.bias, &self.cfg, t);
+        let k = AdamConsts::of(&self.cfg);
         let param = store.get_mut(name);
         for &r in rows {
             let r = r as usize;
             if row_t[r] >= t {
                 continue;
             }
-            Self::catch_up_row(
-                &self.cfg,
-                row_t[r],
-                t,
-                param.row_mut(r),
-                st.m.row_mut(r),
-                st.v.row_mut(r),
-            );
+            let (p, m, v) = (param.row_mut(r), st.m.row_mut(r), st.v.row_mut(r));
+            update_row(&k, p, m, v, &bias[row_t[r] as usize + 1..=t as usize], None);
             row_t[r] = t;
         }
     }
@@ -307,19 +456,15 @@ impl Adam {
             return;
         };
         let t = st.t;
+        let bias = Self::bias_through(&mut self.bias, &self.cfg, t);
+        let k = AdamConsts::of(&self.cfg);
         let param = store.get_mut(name);
         for (r, &wm) in row_t.iter().enumerate() {
             if wm >= t {
                 continue;
             }
-            Self::catch_up_row(
-                &self.cfg,
-                wm,
-                t,
-                param.row_mut(r),
-                st.m.row_mut(r),
-                st.v.row_mut(r),
-            );
+            let (p, m, v) = (param.row_mut(r), st.m.row_mut(r), st.v.row_mut(r));
+            update_row(&k, p, m, v, &bias[wm as usize + 1..=t as usize], None);
         }
     }
 
@@ -370,22 +515,15 @@ impl Optimizer for Adam {
         assert_eq!(param.shape(), grad.shape(), "gradient shape mismatch");
         let st = Self::state_for(&mut self.state, name, grad.shape());
         st.t += 1;
-        let (b1, b2) = (self.cfg.beta1, self.cfg.beta2);
-        let bc1 = 1.0 - b1.powi(st.t as i32);
-        let bc2 = 1.0 - b2.powi(st.t as i32);
-        let lr = self.cfg.lr;
-        let eps = self.cfg.eps;
-        let p = param.as_mut_slice();
-        let m = st.m.as_mut_slice();
-        let v = st.v.as_mut_slice();
-        let g = grad.as_slice();
-        for i in 0..p.len() {
-            m[i] = b1 * m[i] + (1.0 - b1) * g[i];
-            v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
-            let mh = m[i] / bc1;
-            let vh = v[i] / bc2;
-            p[i] -= lr * mh / (vh.sqrt() + eps);
-        }
+        let bias = Self::bias_through(&mut self.bias, &self.cfg, st.t)[st.t as usize];
+        update_row(
+            &AdamConsts::of(&self.cfg),
+            param.as_mut_slice(),
+            st.m.as_mut_slice(),
+            st.v.as_mut_slice(),
+            &[],
+            Some((grad.as_slice(), bias)),
+        );
     }
 
     fn step_sparse(&mut self, store: &mut ParamStore, name: &str, grad: &SparseGrad) {
@@ -395,12 +533,15 @@ impl Optimizer for Adam {
         let st = Self::state_for(&mut self.state, name, (rows, param.cols()));
         st.t += 1;
         let t = st.t;
+        let bias = Self::bias_through(&mut self.bias, &self.cfg, t);
+        let k = AdamConsts::of(&self.cfg);
         let row_t = st.row_t.get_or_insert_with(|| vec![t - 1; rows]);
         for (id, grow) in grad.iter() {
             let r = id as usize;
             let (p, m, v) = (param.row_mut(r), st.m.row_mut(r), st.v.row_mut(r));
-            Self::catch_up_row(&self.cfg, row_t[r], t - 1, p, m, v);
-            Self::row_update(&self.cfg, t, p, m, v, Some(grow));
+            // Replay steps `row_t[r] + 1 ..= t - 1`, then take step `t`.
+            let replay = &bias[row_t[r] as usize + 1..t as usize];
+            update_row(&k, p, m, v, replay, Some((grow, bias[t as usize])));
             row_t[r] = t;
         }
     }
@@ -421,6 +562,10 @@ mod tests {
         let loss = g.sum_all(d2);
         g.backward(loss);
         (g.value(loss).item(), g.grad(x).unwrap().clone())
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -526,14 +671,11 @@ mod tests {
         sparse_opt.flush(&mut sparse_store);
         assert_eq!(sparse_opt.pending_rows("w"), 0);
 
-        let d = dense_store.get("w").as_slice();
-        let s = sparse_store.get("w").as_slice();
-        for (i, (a, b)) in d.iter().zip(s).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-6,
-                "row-major element {i} diverged: dense={a} sparse={b}"
-            );
-        }
+        assert_eq!(
+            bits(dense_store.get("w").as_slice()),
+            bits(sparse_store.get("w").as_slice()),
+            "lazy sparse Adam diverged from the dense trajectory"
+        );
     }
 
     #[test]
@@ -558,8 +700,8 @@ mod tests {
         g2.add_row(2, &[-2.0, 1.0]);
         sparse_opt.refresh_rows(&mut sparse_store, "w", &[0, 2]);
         assert_eq!(
-            sparse_store.get("w").row(2),
-            dense_store.get("w").row(2),
+            bits(sparse_store.get("w").row(2)),
+            bits(dense_store.get("w").row(2)),
             "refreshed row must equal the dense trajectory"
         );
         dense_opt.step(&mut dense_store, "w", &g2.to_dense(4));
@@ -567,9 +709,140 @@ mod tests {
         sparse_opt.flush(&mut sparse_store);
         for r in 0..4 {
             let (d, s) = (dense_store.get("w").row(r), sparse_store.get("w").row(r));
-            for (a, b) in d.iter().zip(s) {
-                assert!((a - b).abs() <= 1e-6, "row {r}: dense={a} sparse={b}");
+            assert_eq!(bits(d), bits(s), "row {r}: dense={d:?} sparse={s:?}");
+        }
+    }
+
+    /// The per-step scalar reference: the textbook recurrence with two
+    /// `powi` per step and one call per replayed step, exactly the update
+    /// the kernel replaced. `grad = None` is a zero-gradient step.
+    fn reference_update(
+        cfg: &AdamConfig,
+        s: u64,
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        grad: Option<&[f32]>,
+    ) {
+        let (b1, b2) = (cfg.beta1, cfg.beta2);
+        let bc1 = 1.0 - b1.powi(s as i32);
+        let bc2 = 1.0 - b2.powi(s as i32);
+        for i in 0..p.len() {
+            let g = grad.map_or(0.0, |gr| gr[i]);
+            m[i] = b1 * m[i] + (1.0 - b1) * g;
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+            let mh = m[i] / bc1;
+            let vh = v[i] / bc2;
+            p[i] -= cfg.lr * mh / (vh.sqrt() + cfg.eps);
+        }
+    }
+
+    /// Reference catch-up over steps `(from, to]`, skipping rows whose
+    /// moments are all zero.
+    fn reference_catch_up(cfg: &AdamConfig, from: u64, to: u64, row: &mut [Vec<f32>; 3]) {
+        let [p, m, v] = row;
+        if m.iter().all(|x| *x == 0.0) && v.iter().all(|x| *x == 0.0) {
+            return;
+        }
+        for s in (from + 1)..=to {
+            reference_update(cfg, s, p, m, v, None);
+        }
+    }
+
+    /// An optimizer whose single 2-row parameter `w` sits at step `t` with
+    /// row 0 lagging at watermark `from` and row 1 current. Row 0's
+    /// moments are random, or all equal to `zero` (`+0.0` or `-0.0`).
+    fn lagged_state(
+        d: usize,
+        from: u64,
+        t: u64,
+        zero: Option<f32>,
+        seed: &mut u64,
+    ) -> (ParamStore, Adam, [Vec<f32>; 3]) {
+        let p = random_tensor(2, d, seed);
+        let mut m = random_tensor(2, d, seed);
+        let mut v = random_tensor(2, d, seed).map(f32::abs);
+        if let Some(z) = zero {
+            m.row_mut(0).fill(z);
+            v.row_mut(0).fill(z);
+        }
+        let row0 = [p.row(0).to_vec(), m.row(0).to_vec(), v.row(0).to_vec()];
+        let mut store = ParamStore::new();
+        store.insert("w", p);
+        let mut opt = Adam::with_lr(0.03);
+        opt.state.insert(
+            "w".into(),
+            AdamState {
+                m,
+                v,
+                t,
+                row_t: Some(vec![from, t]),
+            },
+        );
+        (store, opt, row0)
+    }
+
+    fn row_bits(store: &ParamStore, opt: &Adam, r: usize) -> [Vec<u32>; 3] {
+        let st = &opt.state["w"];
+        [
+            bits(store.get("w").row(r)),
+            bits(st.m.row(r)),
+            bits(st.v.row(r)),
+        ]
+    }
+
+    #[test]
+    fn kernel_replay_and_update_match_the_per_step_scalar_reference_bitwise() {
+        let cfg = AdamConfig {
+            lr: 0.03,
+            ..AdamConfig::default()
+        };
+        let mut seed = 2024u64;
+        for d in [1usize, 6, 8, 32, 33] {
+            for lag in [1u64, 2, 7, 64, 200] {
+                for zero in [None, Some(0.0), Some(-0.0)] {
+                    let (from, t) = (3, 3 + lag);
+                    let ctx = format!("d={d} lag={lag} zero moments={zero:?}");
+
+                    // Catch-up alone (refresh before read).
+                    let (mut store, mut opt, mut want) = lagged_state(d, from, t, zero, &mut seed);
+                    opt.refresh_rows(&mut store, "w", &[0]);
+                    reference_catch_up(&cfg, from, t, &mut want);
+                    assert_eq!(
+                        row_bits(&store, &opt, 0),
+                        want.map(|x| bits(&x)),
+                        "refresh {ctx}"
+                    );
+
+                    // Catch-up fused with the next gradient step.
+                    let (mut store, mut opt, mut want) = lagged_state(d, from, t, zero, &mut seed);
+                    let g: Vec<f32> = (0..d).map(|_| prand(&mut seed)).collect();
+                    let mut sg = SparseGrad::new(d);
+                    sg.add_row(0, &g);
+                    opt.step_sparse(&mut store, "w", &sg);
+                    reference_catch_up(&cfg, from, t, &mut want);
+                    let [p, m, v] = &mut want;
+                    reference_update(&cfg, t + 1, p, m, v, Some(&g));
+                    assert_eq!(
+                        row_bits(&store, &opt, 0),
+                        want.map(|x| bits(&x)),
+                        "step {ctx}"
+                    );
+                }
             }
+
+            // The dense step over a whole `3 × d` tensor.
+            let mut store = ParamStore::new();
+            store.insert("w", random_tensor(3, d, &mut seed));
+            let mut want = store.get("w").as_slice().to_vec();
+            let (mut m, mut v) = (vec![0.0; 3 * d], vec![0.0; 3 * d]);
+            let mut opt = Adam::new(cfg);
+            for s in 1..=5u64 {
+                let g = random_tensor(3, d, &mut seed);
+                opt.step(&mut store, "w", &g);
+                reference_update(&cfg, s, &mut want, &mut m, &mut v, Some(g.as_slice()));
+            }
+            assert_eq!(bits(store.get("w").as_slice()), bits(&want), "dense d={d}");
         }
     }
 

@@ -125,9 +125,11 @@ pub enum DaakgError {
     /// A query panicked inside the execution engine. The panic was caught
     /// at the dispatch boundary: the worker and all other in-flight
     /// queries survive, and only the offending query observes this error.
+    /// With context `"training"`: an earlier training call panicked while
+    /// holding the model lock, so the model may be mid-update.
     Panicked {
         /// The dispatch boundary that caught the panic (e.g.
-        /// `"ingress batch"`).
+        /// `"ingress batch"`, `"training"`).
         context: &'static str,
         /// The panic payload, when it was a string.
         message: String,
@@ -238,7 +240,7 @@ impl fmt::Display for DaakgError {
                 write!(f, "{context} shut down while the request was in flight")
             }
             DaakgError::Panicked { context, message } => {
-                write!(f, "query panicked in {context}: {message}")
+                write!(f, "panic in {context}: {message}")
             }
         }
     }

@@ -169,9 +169,23 @@ pub fn normalize_rows_cosine(t: &mut Tensor) {
 /// candidates = 64 accumulators, two 8-lane vectors per query on AVX2.
 const SCAN_TILE: usize = 16;
 
+/// A second consumer of the scan kernel's scores, fed beside the
+/// per-query selectors: every `(candidate id, score)` the kernel computes
+/// is offered to it as well. `()` observes nothing — the plain top-k scan,
+/// which compiles to the same loop as before the sink existed.
+pub trait ScoreSink {
+    /// Observe one computed score of candidate `id`.
+    fn observe(&mut self, id: u32, score: f32);
+}
+
+impl ScoreSink for () {
+    #[inline(always)]
+    fn observe(&mut self, _id: u32, _score: f32) {}
+}
+
 /// Scan every candidate column of a transposed block against a gathered
 /// query panel (`nq` rows of `d` floats in `ps`), feeding the per-query
-/// bounded selectors.
+/// bounded selectors and the score sink.
 ///
 /// `ct` is the *transposed* candidate block (`d` rows of `n` floats), so
 /// the kernel accumulates a 4-query × 16-candidate register tile
@@ -187,9 +201,9 @@ const SCAN_TILE: usize = 16;
 /// this body and re-vectorizes it with the wider instruction set.
 // Index-based tile loops are deliberate: the accumulator tile must be
 // addressed by lane for the vectorizer to keep it in registers.
-#[allow(clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #[inline(always)]
-fn scan_panel(
+fn scan_panel<S: ScoreSink>(
     ps: &[f32],
     d: usize,
     nq: usize,
@@ -197,6 +211,7 @@ fn scan_panel(
     n: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
+    sink: &mut S,
 ) {
     debug_assert_eq!(ct.len(), d * n);
     debug_assert_eq!(ids.len(), n);
@@ -233,6 +248,9 @@ fn scan_panel(
                 s1.push(j, acc[1][t]);
                 s2.push(j, acc[2][t]);
                 s3.push(j, acc[3][t]);
+                for a in &acc {
+                    sink.observe(j, a[t]);
+                }
             }
             j0 += SCAN_TILE;
         }
@@ -251,6 +269,9 @@ fn scan_panel(
             s1.push(j, s[1]);
             s2.push(j, s[2]);
             s3.push(j, s[3]);
+            for &v in &s {
+                sink.observe(j, v);
+            }
             j0 += 1;
         }
         qi += 4;
@@ -267,6 +288,7 @@ fn scan_panel(
         let sel = &mut selectors[qi];
         for (j, &s) in buf.iter().enumerate() {
             sel.push(ids[j], s);
+            sink.observe(ids[j], s);
         }
         qi += 1;
     }
@@ -279,7 +301,8 @@ fn scan_panel(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[target_feature(enable = "fma")]
-unsafe fn scan_panel_avx2(
+#[allow(clippy::too_many_arguments)]
+unsafe fn scan_panel_avx2<S: ScoreSink>(
     ps: &[f32],
     d: usize,
     nq: usize,
@@ -287,8 +310,9 @@ unsafe fn scan_panel_avx2(
     n: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
+    sink: &mut S,
 ) {
-    scan_panel(ps, d, nq, ct, n, ids, selectors)
+    scan_panel(ps, d, nq, ct, n, ids, selectors, sink)
 }
 
 /// Scan a transposed candidate block against a query panel with the
@@ -310,12 +334,30 @@ pub fn scan_block(
     ids: &[u32],
     selectors: &mut [TopKSelector],
 ) {
+    scan_block_observed(ps, d, nq, ct, n, ids, selectors, &mut ())
+}
+
+/// [`scan_block`] that also offers every computed score to `sink` — one
+/// pass yields both the per-query selections and whatever the sink
+/// accumulates (e.g. per-candidate maxima). Scores are bitwise the ones
+/// the selectors see.
+#[allow(clippy::too_many_arguments)]
+pub fn scan_block_observed<S: ScoreSink>(
+    ps: &[f32],
+    d: usize,
+    nq: usize,
+    ct: &[f32],
+    n: usize,
+    ids: &[u32],
+    selectors: &mut [TopKSelector],
+    sink: &mut S,
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         // SAFETY: both features were just verified on this CPU.
-        return unsafe { scan_panel_avx2(ps, d, nq, ct, n, ids, selectors) };
+        return unsafe { scan_panel_avx2(ps, d, nq, ct, n, ids, selectors, sink) };
     }
-    scan_panel(ps, d, nq, ct, n, ids, selectors)
+    scan_panel(ps, d, nq, ct, n, ids, selectors, sink)
 }
 
 /// Bounded top-k selection over a score slice: keep the best `k` in a

@@ -134,6 +134,9 @@
 //! | `cfg.validate() -> Result<(), String>` | `cfg.validate() -> Result<(), DaakgError>` |
 //! | `daakg_graph::io::IoError` (alias, **removed**) | [`DaakgError`] (same variants) |
 //! | `daakg::bench::...` | depend on `daakg-bench` directly |
+//! | `EntityWeights::from_engine(&engine)` (**removed**) | `engine.round_scan().weights` (one fused pass that also yields each query's best match; `EntityWeights::compute` stays the naive reference) |
+//! | `BatchedSimilarity::score_block(&qs)` (**removed**) | `engine.round_scan()` for Eq. 6 maxima, `engine.top_k_block(&qs, k)` for rankings |
+//! | `EntityWeights::compute_over_pairs(..)` (**removed**, no callers) | `EntityWeights::compute` over the pool's rows |
 //! | hand-rolled latency percentiles over `Vec<u64>` | [`Histogram`] (`record` / `merge` / `quantile`) |
 //! | `service.health()` polling for persist faults | still works — now a view over [`MetricsRegistry`]; rich detail via [`AlignmentService::telemetry`] |
 //! | scraping logs for lifecycle events | [`EventJournal`] ([`Telemetry::journal`], [`EventKind`]) |
