@@ -42,6 +42,7 @@ use daakg_index::scan::{
     normalize_rows_cosine, scan_block, scan_block_observed, top_k_of_scores, ScoreSink,
     TopKSelector,
 };
+use std::sync::Arc;
 
 /// Number of query rows scored per blocked matmul. 64 query rows × 10k
 /// candidates × 4 B = 2.5 MB of scores per block — large enough to amortize
@@ -77,8 +78,9 @@ impl ScoreSink for ColumnMax {
 /// embeddings) and a candidate matrix (right embeddings).
 #[derive(Debug, Clone)]
 pub struct BatchedSimilarity {
-    /// Row-normalized query matrix (`n₁ × d`).
-    queries: Tensor,
+    /// Row-normalized query matrix (`n₁ × d`), shared with the engines
+    /// [`BatchedSimilarity::with_candidates`] derives.
+    queries: Arc<Tensor>,
     /// Row-normalized candidate matrix (`n₂ × d`).
     candidates: Tensor,
     /// The same candidates transposed (`d × n₂`). Column-major access lets
@@ -104,13 +106,31 @@ impl BatchedSimilarity {
             "query/candidate dimension mismatch"
         );
         let mut q = queries.clone();
-        let mut c = candidates.clone();
         normalize_rows_cosine(&mut q);
+        Self::over(Arc::new(q), candidates)
+    }
+
+    /// The engine for the same queries over `candidates`, sharing this
+    /// engine's normalized query matrix instead of normalizing another
+    /// copy. Normalization is per row, so the result is bitwise what
+    /// [`BatchedSimilarity::new`] builds from the same inputs — at the
+    /// memory cost of the candidate side alone.
+    pub fn with_candidates(&self, candidates: &Tensor) -> Self {
+        assert_eq!(
+            self.queries.cols(),
+            candidates.cols(),
+            "query/candidate dimension mismatch"
+        );
+        Self::over(Arc::clone(&self.queries), candidates)
+    }
+
+    fn over(queries: Arc<Tensor>, candidates: &Tensor) -> Self {
+        let mut c = candidates.clone();
         normalize_rows_cosine(&mut c);
         let ct = c.transpose();
         let identity_ids = (0..c.rows() as u32).collect();
         Self {
-            queries: q,
+            queries,
             candidates: c,
             candidates_t: ct,
             identity_ids,

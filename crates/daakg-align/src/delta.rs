@@ -20,13 +20,34 @@
 //!   order-independent under *(score desc, id asc)*, so the merged top-k
 //!   over base ∪ delta is **bitwise-equal to an exact scan over the union
 //!   corpus**.
-//! * **Durable segments** — every entry persists as one atomic
-//!   section-format file (`d0000000042.dseg`) in the snapshot store
-//!   directory, all-or-nothing under the store's CRC discipline; warm
-//!   restarts replay the contiguous run of segment ids starting at the
-//!   recovered snapshot's right-entity count (the *last intact prefix*)
-//!   and surface anything torn or flipped as a typed
-//!   [`DaakgError::Corrupt`].
+//! * **The durable delta log** (`DeltaLog`) — every upsert is one
+//!   record `[len: u32][crc32: u32][payload]` appended to a log file in
+//!   the snapshot store directory, where the payload is the entry's
+//!   section-format image (the store's codec, CRCs included). The ack is
+//!   one `pwrite` into space the file was preallocated with as written
+//!   zeros, then one `fdatasync`: no file create, rename, or directory
+//!   fsync, so no journal commit, sits on the ack path. A zero length ends
+//!   the log; a record for a still-pending id (an `upsert_triples`
+//!   extension) replaces the earlier one.
+//!
+//!   Files are named `l<lineage>-<first id>.dlog`. The *lineage* is the
+//!   version of the training publish (or live anchor) whose tables the
+//!   rows were warm-started against: a retrain starts a new lineage, so
+//!   ids it re-issues never collide with records of the lineage a
+//!   failed persist left as the only durable copy. File creation,
+//!   preallocation (in bounded chunks, sized from `compact_after`),
+//!   rolls, and retirements run at `enable_live`, at a retrain, or on the
+//!   compactor — never on the ack path — and retirement only follows a
+//!   persisted snapshot: a persisted fold retires files whose ids it
+//!   folded, a persisted retrain retires older lineages. A warm restart
+//!   replays the greatest lineage starting at or below the recovered
+//!   snapshot's version, from its right-entity count on (the *last
+//!   intact prefix*); a torn or flipped record ends the replay with a
+//!   typed [`DaakgError::Corrupt`], and records of a newer lineage (a
+//!   retrain that never persisted) are reported as skipped. Because the
+//!   replayed lineage is read off the files, a retrain persists only once
+//!   its lineage's file exists; a failed creation is retried by the next
+//!   upsert (on its error path) or the compactor.
 //! * `Compactor` — the background thread harness that periodically folds
 //!   the delta into the next published snapshot. Same lifecycle
 //!   discipline as the ingress worker: a named thread, condvar ticks, a
@@ -45,12 +66,19 @@
 //! no reader ever transiently loses a delta entity.
 
 use crate::ingress::lock_recover;
+use crate::telem::ServiceTelemetry;
 use daakg_autograd::Tensor;
 use daakg_embed::WarmStartConfig;
 use daakg_graph::DaakgError;
 use daakg_index::scan::{normalize_rows_cosine, scan_block, TopKSelector};
+use daakg_store::crc32;
 use daakg_store::format::{SectionReader, SectionWriter};
-use daakg_store::store::write_atomic;
+use daakg_store::store::TMP_SUFFIX;
+use daakg_telemetry::EventKind;
+use std::fs::File;
+use std::io::Write;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,10 +86,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Payload-kind discriminator of delta segment files ("ADL1").
+/// Payload-kind discriminator of delta log record payloads ("ADL1").
 pub(crate) const FILE_KIND_DELTA: u32 = u32::from_le_bytes(*b"ADL1");
-/// Segment file extension.
-const SEGMENT_EXT: &str = "dseg";
 
 /// One asserted triple anchoring a new right-KG entity to an existing
 /// entity (or an earlier delta entity). `neighbor` is a *global* right
@@ -276,11 +302,16 @@ impl DeltaBuffer {
         (inner.base_n, inner.entries.clone())
     }
 
-    /// Append a trained entry; its `global_id` must be the buffer's
-    /// `next_id` (the caller serializes upserts). Rebuilds the current
-    /// slab under the lock (`O(len·dim)` — pending depth is bounded by
-    /// the compaction threshold in steady state).
-    pub(crate) fn append(&self, entry: DeltaEntry) -> Result<(), DaakgError> {
+    /// Where `entry` lands: the next position for an append (its id must
+    /// be the buffer's next id — the caller serializes upserts), or the
+    /// pending position it replaces. Folded ids are the base corpus's
+    /// business now.
+    fn position(
+        &self,
+        inner: &BufferInner,
+        entry: &DeltaEntry,
+        replace: bool,
+    ) -> Result<usize, DaakgError> {
         if entry.raw.len() != self.dim {
             return Err(DaakgError::DimensionMismatch {
                 context: "DeltaBuffer row width",
@@ -288,17 +319,41 @@ impl DeltaBuffer {
                 got: entry.raw.len(),
             });
         }
-        let mut inner = lock_recover(&self.inner);
-        let expect = (inner.base_n + inner.entries.len()) as u32;
-        if entry.global_id != expect {
-            return Err(DaakgError::InvalidConfig {
+        let len = inner.entries.len();
+        let pos = (entry.global_id as usize).checked_sub(inner.base_n);
+        if replace {
+            return pos
+                .filter(|&p| p < len)
+                .ok_or_else(|| DaakgError::UnknownEntity {
+                    kg: "delta".into(),
+                    id: entry.global_id,
+                    bound: inner.base_n + len,
+                });
+        }
+        pos.filter(|&p| p == len)
+            .ok_or_else(|| DaakgError::InvalidConfig {
                 context: "DeltaBuffer",
                 reason: format!(
-                    "entry id {} where the next id is {expect} (upserts must be serialized)",
-                    entry.global_id
+                    "entry id {} where the next id is {} (upserts must be serialized)",
+                    entry.global_id,
+                    inner.base_n + len
                 ),
-            });
-        }
+            })
+    }
+
+    /// Validate `entry` as the next append (`replace == false`) or as the
+    /// replacement of a pending id, without applying it.
+    pub(crate) fn check(&self, entry: &DeltaEntry, replace: bool) -> Result<(), DaakgError> {
+        self.position(&lock_recover(&self.inner), entry, replace)
+            .map(drop)
+    }
+
+    /// Append a trained entry as the next id. Rebuilds the current slab
+    /// under the lock (`O(len·dim)` — pending depth is bounded by the
+    /// compaction threshold in steady state).
+    pub(crate) fn append(&self, entry: DeltaEntry) -> Result<(), DaakgError> {
+        let mut inner = lock_recover(&self.inner);
+        self.position(&inner, &entry, false)?;
         inner.entries.push(entry);
         inner.current = Arc::new(DeltaSlab::build(
             inner.anchor,
@@ -311,30 +366,14 @@ impl DeltaBuffer {
     }
 
     /// Replace a pending entry in place (the `upsert_triples` re-finetune
-    /// path). The id must still be pending; folded ids are the base
-    /// corpus's business now.
+    /// path).
     pub(crate) fn replace(&self, entry: DeltaEntry) -> Result<(), DaakgError> {
-        if entry.raw.len() != self.dim {
-            return Err(DaakgError::DimensionMismatch {
-                context: "DeltaBuffer row width",
-                expected: self.dim,
-                got: entry.raw.len(),
-            });
-        }
         let mut inner = lock_recover(&self.inner);
-        let base = inner.base_n;
-        let pos = (entry.global_id as usize)
-            .checked_sub(base)
-            .filter(|&p| p < inner.entries.len())
-            .ok_or_else(|| DaakgError::UnknownEntity {
-                kg: "delta".into(),
-                id: entry.global_id,
-                bound: base + inner.entries.len(),
-            })?;
+        let pos = self.position(&inner, &entry, true)?;
         inner.entries[pos] = entry;
         inner.current = Arc::new(DeltaSlab::build(
             inner.anchor,
-            base,
+            inner.base_n,
             self.dim,
             &inner.entries,
         ));
@@ -389,12 +428,16 @@ impl DeltaBuffer {
     /// Re-anchor after a supersession (a retrain published a snapshot the
     /// pending entries no longer extend): drop everything and start fresh
     /// at the superseding version and right-entity count. Returns the
-    /// dropped entries so the caller can retire their segment files —
-    /// which it must do only once the superseding snapshot is durably
-    /// persisted, because until then those files are the only durable
-    /// copies of the acknowledged upserts.
+    /// dropped entries. Their log records stay on disk until the
+    /// superseding snapshot is durably persisted, because until then they
+    /// are the only durable copies of the acknowledged upserts. A buffer
+    /// already anchored at `anchor` or later has seen this supersession
+    /// (a racing re-anchor ran first): nothing is dropped.
     pub(crate) fn reanchor(&self, anchor: u64, base_n: usize) -> Vec<DeltaEntry> {
         let mut inner = lock_recover(&self.inner);
+        if inner.anchor >= anchor {
+            return Vec::new();
+        }
         let dropped = std::mem::take(&mut inner.entries);
         inner.anchor = anchor;
         inner.base_n = base_n;
@@ -417,17 +460,43 @@ impl DeltaBuffer {
 }
 
 // ---------------------------------------------------------------------------
-// Durable segments
+// Durable delta log
 // ---------------------------------------------------------------------------
 
-/// File name of one delta segment (`d0000000042.dseg`).
-pub(crate) fn segment_name(global_id: u32) -> String {
-    format!("d{global_id:010}.{SEGMENT_EXT}")
+/// Delta log file extension.
+const LOG_EXT: &str = "dlog";
+/// Extension of the per-upsert segment files older releases wrote. They
+/// are detected (and refused) at [`DeltaLog::open`], never written.
+const SEGMENT_EXT: &str = "dseg";
+/// Record header: payload length, then the payload's CRC-32, both `u32` LE.
+const RECORD_HEADER: usize = 8;
+/// The most records one log file is preallocated for.
+const LOG_RECORDS_MAX: usize = 1024;
+/// Zero-fill chunk used to preallocate a log file.
+const PREALLOC_CHUNK: usize = 64 * 1024;
+
+/// File name of one delta log file: its training lineage and the first
+/// global id it may hold (`l0000000003-0000000042.dlog`).
+pub(crate) fn log_name(lineage: u64, first_id: u32) -> String {
+    format!("l{lineage:010}-{first_id:010}.{LOG_EXT}")
 }
 
-/// Parse a segment file name back to its global id; `None` for anything
-/// that is not exactly `d` + 10 digits + `.dseg` (snapshot files, tmp
-/// files and manifests never collide with this shape).
+/// Parse a log file name back to `(lineage, first_id)`; `None` for
+/// anything else (snapshots, tmp files, manifests).
+pub(crate) fn parse_log_name(name: &str) -> Option<(u64, u32)> {
+    let stem = name
+        .strip_prefix('l')?
+        .strip_suffix(&format!(".{LOG_EXT}"))?;
+    let (lineage, first) = stem.split_once('-')?;
+    let ten_digits = |s: &str| s.len() == 10 && s.bytes().all(|b| b.is_ascii_digit());
+    if !ten_digits(lineage) || !ten_digits(first) {
+        return None;
+    }
+    Some((lineage.parse().ok()?, first.parse().ok()?))
+}
+
+/// Parse an older release's segment file name (`d0000000042.dseg`) to its
+/// global id; `None` for anything else.
 pub(crate) fn parse_segment_name(name: &str) -> Option<u32> {
     let digits = name
         .strip_prefix('d')?
@@ -438,7 +507,8 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-/// Serialize one entry into a section-format image.
+/// Serialize one entry into a section-format image: a log record's
+/// payload.
 pub(crate) fn encode_segment(entry: &DeltaEntry) -> Vec<u8> {
     let mut w = SectionWriter::new(FILE_KIND_DELTA);
     w.u64s(
@@ -460,7 +530,7 @@ pub(crate) fn encode_segment(entry: &DeltaEntry) -> Vec<u8> {
     w.finish()
 }
 
-/// Parse and validate one segment file back into an entry.
+/// Parse and validate one record payload back into an entry.
 pub(crate) fn decode_segment(path: &Path, bytes: Vec<u8>) -> Result<DeltaEntry, DaakgError> {
     let r = SectionReader::parse(path, bytes, FILE_KIND_DELTA)?;
     let meta = r.u64s("meta")?;
@@ -500,123 +570,711 @@ pub(crate) fn decode_segment(path: &Path, bytes: Vec<u8>) -> Result<DeltaEntry, 
     })
 }
 
-/// Durably persist one entry as an atomic segment file in `dir`.
-pub(crate) fn write_segment(dir: &Path, entry: &DeltaEntry) -> Result<(), DaakgError> {
-    write_atomic(
-        &dir.join(segment_name(entry.global_id)),
-        &encode_segment(entry),
-    )
+/// Frame one entry as a log record: `[len][crc32][payload]`.
+pub(crate) fn encode_record(entry: &DeltaEntry) -> Vec<u8> {
+    let payload = encode_segment(entry);
+    let mut rec = Vec::with_capacity(RECORD_HEADER + payload.len());
+    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(&crc32(&payload).to_le_bytes());
+    rec.extend_from_slice(&payload);
+    rec
 }
 
-/// Remove the segment file of one global id; missing files are fine (a
-/// crash may sit between publish and cleanup).
-pub(crate) fn remove_segment(dir: &Path, global_id: u32) -> Result<(), DaakgError> {
-    let path = dir.join(segment_name(global_id));
-    match std::fs::remove_file(&path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(DaakgError::io_at(&path, e)),
+/// Bytes to preallocate per log file: room for twice the fold threshold
+/// (capped at [`LOG_RECORDS_MAX`]) of records `dim` wide with four
+/// triples each. Only a sizing estimate — a record that does not fit
+/// extends the file, and the compactor rolls it well before that.
+pub(crate) fn log_file_bytes(dim: usize, compact_after: usize) -> u64 {
+    let probe = DeltaEntry {
+        global_id: 0,
+        raw: vec![0.0; dim],
+        triples: vec![
+            DeltaTriple {
+                rel: 0,
+                neighbor: 0,
+                outgoing: true,
+            };
+            4
+        ],
+    };
+    let records = compact_after.saturating_mul(2).min(LOG_RECORDS_MAX);
+    (encode_record(&probe).len() * records) as u64
+}
+
+/// One step of a log walk.
+enum Frame {
+    /// A zero length (or a zero tail too short for a header): the log
+    /// ends here.
+    End,
+    /// An intact record: its payload range and the offset after it.
+    Record(Range<usize>, usize),
+    /// A torn or flipped record.
+    Torn(String),
+}
+
+/// Read the frame at `at`. With `check_crc` off, frames are walked by
+/// their length words alone (a checksum mismatch is not a tear).
+fn read_frame(bytes: &[u8], at: usize, check_crc: bool) -> Frame {
+    let rest = &bytes[at..];
+    if rest.len() < RECORD_HEADER {
+        return if rest.iter().all(|&b| b == 0) {
+            Frame::End
+        } else {
+            Frame::Torn(format!("{} stray bytes where a record starts", rest.len()))
+        };
+    }
+    let word = |i: usize| u32::from_le_bytes([rest[i], rest[i + 1], rest[i + 2], rest[i + 3]]);
+    let len = word(0) as usize;
+    if len == 0 {
+        return Frame::End;
+    }
+    let Some(payload) = rest.get(RECORD_HEADER..RECORD_HEADER + len) else {
+        return Frame::Torn(format!(
+            "a {len}-byte record runs past the end of the file ({} bytes left)",
+            rest.len() - RECORD_HEADER
+        ));
+    };
+    if check_crc && crc32(payload) != word(4) {
+        return Frame::Torn("record checksum mismatch".into());
+    }
+    let start = at + RECORD_HEADER;
+    Frame::Record(start..start + len, start + len)
+}
+
+/// How many records start at or after `at`, framed by their length words
+/// alone (checksums unchecked) — what a replay break drops.
+fn count_frames(bytes: &[u8], mut at: usize) -> usize {
+    let mut n = 0;
+    loop {
+        match read_frame(bytes, at, false) {
+            Frame::End => return n,
+            Frame::Torn(_) => return n + 1,
+            Frame::Record(_, after) => {
+                n += 1;
+                at = after;
+            }
+        }
     }
 }
 
-/// What segment replay found on a warm restart.
+/// What delta-log replay found on a warm restart.
 #[derive(Debug, Default)]
 pub struct DeltaRecovery {
     /// Entries replayed into the buffer (the contiguous intact prefix).
     pub replayed: usize,
-    /// Segments skipped with their typed errors: corrupt files, ids that
-    /// break the contiguous run, or ids already folded into the base.
+    /// Records skipped with their typed errors: a torn or flipped record,
+    /// an id that breaks the contiguous run, or a record written under a
+    /// training publish that never became durable.
     pub skipped: Vec<(u32, DaakgError)>,
-    /// Segment files removed (folded leftovers and everything at or past
-    /// the first break — their ids will be re-issued by future upserts).
+    /// Log records dropped: folded leftovers, superseded lineages, and
+    /// everything at or past the first break (those ids are re-issued by
+    /// future upserts, so stale rows must not resurface later).
     pub removed: usize,
 }
 
-/// Replay delta segments from `dir` against a recovered snapshot with
-/// `base_n` right entities.
+/// Read every delta log in `dir` against a recovered snapshot `version`
+/// with `base_n` right entities. Returns the replayed entries, the
+/// report, and every delta file found (for the caller to retire once the
+/// replayed prefix is rewritten).
 ///
-/// The rule is *last intact prefix*: segments must form the contiguous id
-/// run `base_n, base_n + 1, …`. Ids below `base_n` were already folded
-/// into the recovered snapshot and are deleted; the first gap or corrupt
-/// file ends the replay, and it plus everything after it is deleted with
-/// the typed error recorded — those ids will be re-issued, so stale rows
-/// must not resurface later.
-///
-/// Segments are only ever retired at runtime *after* a superseding
-/// snapshot (fold or retrain) persisted successfully, so when a persist
-/// failed before the crash, the files are still here and the recovered
-/// snapshot is the pre-fold/pre-retrain one they extend — the replay
-/// restores the acknowledged upserts instead of silently losing them.
-pub(crate) fn recover_segments(
+/// The replayed lineage is the greatest one that starts at or below
+/// `version`: its rows were warm-started under the training publish (or
+/// live anchor) the recovered snapshot descends from. Within it, files
+/// are read in first-id order and records in file order, under the *last
+/// intact prefix* rule: ids below `base_n` were folded into the snapshot
+/// and are dropped; a record for a pending id replaces the earlier one
+/// (an `upsert_triples` extension); the next id extends the run; a gap,
+/// a torn record, or a flipped one ends the replay with a typed error.
+/// Files of a newer lineage were written under a training publish that
+/// never persisted: their records are reported as skipped.
+fn recover_log(
     dir: &Path,
+    version: u64,
     base_n: usize,
-) -> Result<(Vec<DeltaEntry>, DeltaRecovery), DaakgError> {
-    let mut found: Vec<(u32, PathBuf)> = Vec::new();
+) -> Result<(Vec<DeltaEntry>, DeltaRecovery, Vec<PathBuf>), DaakgError> {
+    let (logs, mut found) = scan_log_dir(dir)?;
+    found.extend(logs.iter().map(|l| l.2.clone()));
+    let images = logs
+        .into_iter()
+        .map(|(lineage, _, path)| match std::fs::read(&path) {
+            Ok(bytes) => Ok((lineage, path, bytes)),
+            Err(e) => Err(DaakgError::io_at(&path, e)),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (entries, report) = replay_logs(&images, version, base_n);
+    Ok((entries, report, found))
+}
+
+/// The delta files in `dir`: log files as `(lineage, first_id, path)` in
+/// lineage, then first-id, order, and leftover `*.dlog.tmp` files. An
+/// older release's `.dseg` segment is a typed error naming it.
+#[allow(clippy::type_complexity)]
+fn scan_log_dir(dir: &Path) -> Result<(Vec<(u64, u32, PathBuf)>, Vec<PathBuf>), DaakgError> {
+    let mut logs = Vec::new();
+    let mut stale = Vec::new();
     let rd = std::fs::read_dir(dir).map_err(|e| DaakgError::io_at(dir, e))?;
     for dent in rd {
         let dent = dent.map_err(|e| DaakgError::io_at(dir, e))?;
-        if let Some(id) = dent.file_name().to_str().and_then(parse_segment_name) {
-            found.push((id, dent.path()));
+        let name = dent.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if parse_segment_name(name).is_some() {
+            return Err(DaakgError::Corrupt {
+                path: dent.path(),
+                section: "delta".into(),
+                reason: "a per-upsert delta segment from an older release; this release \
+                         replays only delta logs (*.dlog) — fold it with that release or \
+                         remove it before enabling live updates"
+                    .into(),
+            });
+        }
+        if let Some((lineage, first)) = parse_log_name(name) {
+            logs.push((lineage, first, dent.path()));
+        } else if name.ends_with(&format!(".{LOG_EXT}{TMP_SUFFIX}")) {
+            stale.push(dent.path());
         }
     }
-    found.sort_by_key(|&(id, _)| id);
+    logs.sort();
+    Ok((logs, stale))
+}
 
+/// The replay rule of [`recover_log`] over log images
+/// `(lineage, path, bytes)` in lineage, then first-id, order.
+fn replay_logs(
+    logs: &[(u64, PathBuf, Vec<u8>)],
+    version: u64,
+    base_n: usize,
+) -> (Vec<DeltaEntry>, DeltaRecovery) {
+    let chosen = logs.iter().map(|l| l.0).filter(|&l| l <= version).max();
     let mut report = DeltaRecovery::default();
-    let mut entries = Vec::new();
+    let mut entries: Vec<DeltaEntry> = Vec::new();
     let mut next = base_n as u32;
     let mut broken = false;
-    for (id, path) in found {
-        if (id as usize) < base_n {
-            // Folded before the crash; the base corpus owns this row now.
-            std::fs::remove_file(&path).map_err(|e| DaakgError::io_at(&path, e))?;
-            report.removed += 1;
-            continue;
-        }
-        if broken || id != next {
-            if !broken {
-                broken = true;
-                report.skipped.push((
-                    id,
-                    DaakgError::Corrupt {
-                        path: path.clone(),
-                        section: "sequence".into(),
-                        reason: format!("segment id {id} breaks the contiguous run at {next}"),
-                    },
-                ));
-            }
-            std::fs::remove_file(&path).map_err(|e| DaakgError::io_at(&path, e))?;
-            report.removed += 1;
-            continue;
-        }
-        let decoded = std::fs::read(&path)
-            .map_err(|e| DaakgError::io_at(&path, e))
-            .and_then(|bytes| decode_segment(&path, bytes))
-            .and_then(|e| {
-                if e.global_id == id {
-                    Ok(e)
-                } else {
-                    Err(DaakgError::Corrupt {
-                        path: path.clone(),
-                        section: "meta".into(),
-                        reason: format!("file named {id} records global id {}", e.global_id),
-                    })
+    for (lineage, path, bytes) in logs {
+        if Some(*lineage) != chosen {
+            if *lineage > version {
+                // Written under a training publish that never persisted:
+                // the recovered snapshot is not what these rows extend.
+                let mut at = 0;
+                while let Frame::Record(payload, after) = read_frame(bytes, at, true) {
+                    if let Ok(e) = decode_segment(path, bytes[payload].to_vec()) {
+                        report.skipped.push((
+                            e.global_id,
+                            DaakgError::Corrupt {
+                                path: path.clone(),
+                                section: "lineage".into(),
+                                reason: format!(
+                                    "written under training publish v{lineage}, which never \
+                                     became durable (recovered v{version})"
+                                ),
+                            },
+                        ));
+                    }
+                    at = after;
                 }
-            });
-        match decoded {
-            Ok(entry) => {
-                entries.push(entry);
-                report.replayed += 1;
-                next += 1;
             }
-            Err(err) => {
-                broken = true;
-                report.skipped.push((id, err));
-                std::fs::remove_file(&path).map_err(|e| DaakgError::io_at(&path, e))?;
-                report.removed += 1;
+            report.removed += count_frames(bytes, 0);
+            continue;
+        }
+        if broken {
+            report.removed += count_frames(bytes, 0);
+            continue;
+        }
+        let mut at = 0;
+        loop {
+            let (payload, after) = match read_frame(bytes, at, true) {
+                Frame::End => break,
+                Frame::Record(payload, after) => (payload, after),
+                Frame::Torn(reason) => {
+                    report.skipped.push((
+                        next,
+                        DaakgError::Corrupt {
+                            path: path.clone(),
+                            section: "record".into(),
+                            reason: format!("at byte {at}: {reason}"),
+                        },
+                    ));
+                    broken = true;
+                    break;
+                }
+            };
+            match decode_segment(path, bytes[payload].to_vec()) {
+                Err(err) => {
+                    report.skipped.push((next, err));
+                    broken = true;
+                }
+                Ok(e) if (e.global_id as usize) < base_n => report.removed += 1,
+                Ok(e) if e.global_id < next => {
+                    let pos = e.global_id as usize - base_n;
+                    entries[pos] = e;
+                }
+                Ok(e) if e.global_id == next => {
+                    entries.push(e);
+                    next += 1;
+                }
+                Ok(e) => {
+                    report.skipped.push((
+                        e.global_id,
+                        DaakgError::Corrupt {
+                            path: path.clone(),
+                            section: "sequence".into(),
+                            reason: format!(
+                                "record id {} breaks the contiguous run at {next}",
+                                e.global_id
+                            ),
+                        },
+                    ));
+                    broken = true;
+                }
+            }
+            if broken {
+                break;
+            }
+            at = after;
+        }
+        if broken {
+            report.removed += count_frames(bytes, at);
+        }
+    }
+    report.replayed = entries.len();
+    (entries, report)
+}
+
+/// Best-effort directory fsync, as the store does after a rename: some
+/// filesystems refuse it, which weakens only the power-loss window.
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// The log file upserts append to.
+struct ActiveLog {
+    file: File,
+    path: PathBuf,
+    lineage: u64,
+    first_id: u32,
+    /// Write offset: the end of the last acknowledged record.
+    end: u64,
+    /// Preallocated (zero-filled) size.
+    cap: u64,
+    /// Highest id with a record in this file.
+    last_id: Option<u32>,
+}
+
+impl ActiveLog {
+    /// Durably create a log file holding `records` followed by
+    /// `zero_bytes` of written zeros: tmp write in bounded chunks, fsync,
+    /// rename, directory fsync. Overwriting preallocated zeros later needs
+    /// only a data sync — no size or extent change reaches the journal.
+    fn create(
+        dir: &Path,
+        lineage: u64,
+        first_id: u32,
+        records: &[u8],
+        last_id: Option<u32>,
+        zero_bytes: u64,
+    ) -> Result<Self, DaakgError> {
+        let path = dir.join(log_name(lineage, first_id));
+        let tmp = dir.join(format!("{}{TMP_SUFFIX}", log_name(lineage, first_id)));
+        let run = || -> std::io::Result<File> {
+            let mut f = File::create(&tmp)?;
+            f.write_all(records)?;
+            let zeros = vec![0u8; PREALLOC_CHUNK.min(zero_bytes as usize)];
+            let mut left = zero_bytes as usize;
+            while left > 0 {
+                let n = left.min(zeros.len());
+                f.write_all(&zeros[..n])?;
+                left -= n;
+            }
+            f.sync_all()?;
+            std::fs::rename(&tmp, &path)?;
+            sync_dir(dir);
+            Ok(f)
+        };
+        let file = run().map_err(|e| DaakgError::io_at(&path, e))?;
+        Ok(Self {
+            file,
+            path,
+            lineage,
+            first_id,
+            end: records.len() as u64,
+            cap: records.len() as u64 + zero_bytes,
+            last_id,
+        })
+    }
+
+    fn seal(self) -> SealedLog {
+        SealedLog {
+            path: self.path,
+            lineage: self.lineage,
+            first_id: self.first_id,
+            last_id: self.last_id,
+        }
+    }
+}
+
+/// A log file no longer appended to, kept until a persisted snapshot
+/// supersedes every record in it.
+struct SealedLog {
+    path: PathBuf,
+    lineage: u64,
+    first_id: u32,
+    last_id: Option<u32>,
+}
+
+struct LogState {
+    /// The training lineage new records belong to.
+    lineage: u64,
+    /// The id the next fresh upsert receives (names rolled files).
+    next_id: u32,
+    /// `None` only after a file creation failed; the next upsert, the
+    /// training publish's persist, or the compactor creates one.
+    active: Option<ActiveLog>,
+    sealed: Vec<SealedLog>,
+}
+
+/// The durable side of the delta layer: an append-only log of
+/// checksummed records in preallocated files (see the module docs).
+///
+/// An upsert's ack is one `pwrite` into the active file's zero-filled
+/// space plus one `fdatasync`. Every file create, roll and retirement
+/// happens at [`DeltaLog::open`], in [`DeltaLog::reanchor`], or on the
+/// compactor behind a persisted snapshot — never on the ack path.
+pub(crate) struct DeltaLog {
+    dir: PathBuf,
+    /// Zero bytes each new file is preallocated with.
+    file_bytes: u64,
+    telem: ServiceTelemetry,
+    /// Serializes every file creation after `open` (re-anchors and
+    /// rolls), so no two of them ever write the same file name. Taken
+    /// before `state`, which acks hold alone.
+    files: Mutex<()>,
+    state: Mutex<LogState>,
+}
+
+impl DeltaLog {
+    /// Open the log of a live service anchored at snapshot `version` with
+    /// `base_n` right entities, starting lineage `version`.
+    ///
+    /// When `version` is the snapshot the store `recovered` at open, the
+    /// logs on disk extend it: replay them (see [`recover_log`]), rewrite
+    /// the replayed prefix into a fresh preallocated file, and retire
+    /// every other delta file, durably, before any upsert can reuse a
+    /// dropped id. When a training publish came in between, it supersedes
+    /// every lineage on disk: nothing replays, and the files stay until a
+    /// snapshot of the new lineage persists — a restart before that
+    /// recovers the snapshot they extend — except lineages newer than
+    /// `recovered`, whose training publish never persisted.
+    ///
+    /// An older release's `.dseg` segment is a typed
+    /// [`DaakgError::Corrupt`] naming the file.
+    pub(crate) fn open(
+        dir: &Path,
+        recovered: Option<u64>,
+        version: u64,
+        base_n: usize,
+        file_bytes: u64,
+        telem: ServiceTelemetry,
+    ) -> Result<(Self, Vec<DeltaEntry>, DeltaRecovery), DaakgError> {
+        let (entries, report, found, kept) = if recovered == Some(version) {
+            let (entries, report, found) = recover_log(dir, version, base_n)?;
+            (entries, report, found, Vec::new())
+        } else {
+            let (logs, mut stale) = scan_log_dir(dir)?;
+            let durable = recovered.unwrap_or(0);
+            let (kept, newer): (Vec<_>, Vec<_>) = logs.into_iter().partition(|l| l.0 <= durable);
+            stale.extend(newer.into_iter().map(|l| l.2));
+            (Vec::new(), DeltaRecovery::default(), stale, kept)
+        };
+        let records: Vec<u8> = entries.iter().flat_map(encode_record).collect();
+        let last_id = entries.last().map(|e| e.global_id);
+        let active = ActiveLog::create(dir, version, base_n as u32, &records, last_id, file_bytes)?;
+        for path in found.iter().filter(|p| **p != active.path) {
+            match std::fs::remove_file(path) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(DaakgError::io_at(path, e)),
+            }
+        }
+        sync_dir(dir);
+        telem.event(EventKind::DeltaLogRoll {
+            lineage: version,
+            first_id: base_n as u32,
+        });
+        let sealed = kept
+            .into_iter()
+            .filter(|l| l.2 != active.path)
+            .map(|(lineage, first_id, path)| SealedLog {
+                path,
+                lineage,
+                first_id,
+                last_id: None,
+            })
+            .collect();
+        let log = Self {
+            dir: dir.to_path_buf(),
+            file_bytes,
+            telem,
+            files: Mutex::new(()),
+            state: Mutex::new(LogState {
+                lineage: version,
+                next_id: (base_n + entries.len()) as u32,
+                active: Some(active),
+                sealed,
+            }),
+        };
+        Ok((log, entries, report))
+    }
+
+    /// The training lineage new records belong to.
+    pub(crate) fn lineage(&self) -> u64 {
+        lock_recover(&self.state).lineage
+    }
+
+    /// Log `entry` durably, then apply it to `buffer` — as the next
+    /// append, or as the replacement of a pending id. The entry is
+    /// validated against the buffer first and the log lock excludes every
+    /// re-anchor, so the buffer update after the sync cannot fail: an
+    /// upsert is queryable only once its record is durable, and nothing
+    /// is logged that the buffer would refuse. Returns whether the active
+    /// file is past its roll mark (the caller nudges the compactor).
+    pub(crate) fn commit(
+        &self,
+        entry: DeltaEntry,
+        buffer: &DeltaBuffer,
+        replace: bool,
+    ) -> Result<bool, DaakgError> {
+        // Only after a failed creation: retry it before logging (this is
+        // not the ack fast path, which never creates a file).
+        self.ensure_active()?;
+        let mut st = lock_recover(&self.state);
+        buffer.check(&entry, replace)?;
+        let Some(active) = st.active.as_mut() else {
+            return Err(DaakgError::io_at(
+                &self.dir,
+                std::io::Error::new(
+                    std::io::ErrorKind::NotFound,
+                    "no delta log file is open (its creation failed)",
+                ),
+            ));
+        };
+        let written = {
+            let _span = self.telem.delta_append.span();
+            let rec = encode_record(&entry);
+            active
+                .file
+                .write_all_at(&rec, active.end)
+                .map(|()| rec.len() as u64)
+        };
+        let synced = written.and_then(|len| {
+            let _span = self.telem.delta_sync.span();
+            active.file.sync_data().map(|()| len)
+        });
+        let len = synced.map_err(|e| DaakgError::io_at(&active.path, e))?;
+        self.telem.delta_log_syncs.incr();
+        active.end += len;
+        active.last_id = active.last_id.max(Some(entry.global_id));
+        let roll = active.end * 4 >= active.cap * 3;
+        st.next_id = st.next_id.max(entry.global_id.saturating_add(1));
+        if replace {
+            buffer.replace(entry)?;
+        } else {
+            buffer.append(entry)?;
+        }
+        Ok(roll)
+    }
+
+    /// Start lineage `anchor` at `base_n` (a training publish superseded
+    /// the pending delta): create its file, then — under the log lock, so
+    /// no upsert straddles the switch — seal the old file and re-anchor
+    /// `buffer`. Returns the dropped entries. The old lineage's files stay
+    /// until a snapshot of the new lineage persists
+    /// ([`DeltaLog::after_persist`]).
+    ///
+    /// Idempotent: once `buffer` is anchored at `anchor` or later (an
+    /// earlier re-anchor for this publish already ran, and upserts may
+    /// have been acknowledged into its file since), this does nothing. If
+    /// the file cannot be created, the state still moves to the new
+    /// lineage with no active file; [`DeltaLog::ensure_active`] retries.
+    pub(crate) fn reanchor(
+        &self,
+        anchor: u64,
+        base_n: usize,
+        buffer: &DeltaBuffer,
+    ) -> Vec<DeltaEntry> {
+        let _files = lock_recover(&self.files);
+        if buffer.anchor() >= anchor {
+            return Vec::new();
+        }
+        let fresh = ActiveLog::create(&self.dir, anchor, base_n as u32, &[], None, self.file_bytes);
+        let mut st = lock_recover(&self.state);
+        if let Some(old) = st.active.take() {
+            st.sealed.push(old.seal());
+        }
+        st.active = fresh.ok();
+        if st.active.is_some() {
+            self.telem.event(EventKind::DeltaLogRoll {
+                lineage: anchor,
+                first_id: base_n as u32,
+            });
+        }
+        st.lineage = anchor;
+        st.next_id = base_n as u32;
+        buffer.reanchor(anchor, base_n)
+    }
+
+    /// Create the active file if a failed creation left none. A training
+    /// publish calls this before persisting, so no snapshot of a lineage
+    /// ever becomes durable without that lineage's file: recovery would
+    /// otherwise pick an older lineage and replay rows warm-started on
+    /// superseded tables.
+    pub(crate) fn ensure_active(&self) -> Result<(), DaakgError> {
+        if lock_recover(&self.state).active.is_some() {
+            return Ok(());
+        }
+        self.roll_if(&|st| st.active.is_none())
+    }
+
+    /// A snapshot of `lineage` with `base_n` right entities is durably
+    /// persisted: retire every file it supersedes (older lineages, and
+    /// files of this lineage whose ids are all below `base_n`), and roll
+    /// the active file when all its records are folded. Retiring before
+    /// rolling keeps a steady-state service at two files at most.
+    /// Best-effort: what a failure leaves behind, recovery drops.
+    pub(crate) fn after_persist(&self, lineage: u64, base_n: usize) {
+        let superseded = |l: u64, last: Option<u32>| {
+            l < lineage || (l == lineage && last.is_none_or(|id| (id as usize) < base_n))
+        };
+        self.retire(&superseded);
+        let folded = |st: &LogState| {
+            st.lineage == lineage
+                && st
+                    .active
+                    .as_ref()
+                    .is_none_or(|a| a.last_id.is_some() && superseded(a.lineage, a.last_id))
+        };
+        if self.roll_if(&folded).is_ok() {
+            self.retire(&superseded);
+        }
+    }
+
+    /// Compactor upkeep: roll a file past its roll mark, or create one
+    /// after a failed creation.
+    pub(crate) fn maintain(&self) -> Result<(), DaakgError> {
+        self.roll_if(&|st| st.active.as_ref().is_none_or(|a| a.end * 4 >= a.cap * 3))
+    }
+
+    /// When `due` holds, seal the active file and continue in a fresh one
+    /// named by the next id. The file is created outside the log lock, so
+    /// acks keep landing in the old file meanwhile (the new name's id is
+    /// then a lower bound, which keeps first-id order equal to write
+    /// order); the files lock keeps the lineage fixed until the swap. A
+    /// file that holds no fresh id is not rolled: the new name would equal
+    /// its own.
+    fn roll_if(&self, due: &dyn Fn(&LogState) -> bool) -> Result<(), DaakgError> {
+        let _files = lock_recover(&self.files);
+        let (lineage, first_id) = {
+            let st = lock_recover(&self.state);
+            if !due(&st) || st.active.as_ref().is_some_and(|a| st.next_id <= a.first_id) {
+                return Ok(());
+            }
+            (st.lineage, st.next_id)
+        };
+        let fresh = ActiveLog::create(&self.dir, lineage, first_id, &[], None, self.file_bytes)?;
+        let mut st = lock_recover(&self.state);
+        if let Some(old) = st.active.replace(fresh) {
+            st.sealed.push(old.seal());
+        }
+        self.telem
+            .event(EventKind::DeltaLogRoll { lineage, first_id });
+        Ok(())
+    }
+
+    /// Unlink every sealed file `superseded(lineage, last_id)` selects.
+    fn retire(&self, superseded: &dyn Fn(u64, Option<u32>) -> bool) {
+        let gone: Vec<SealedLog> = {
+            let mut st = lock_recover(&self.state);
+            let active = st.active.as_ref().map(|a| a.path.clone());
+            // The active file's path is never unlinked, whatever the books
+            // say: acknowledged records may sit in it.
+            let (gone, keep) = std::mem::take(&mut st.sealed)
+                .into_iter()
+                .filter(|s| Some(&s.path) != active.as_ref())
+                .partition(|s| superseded(s.lineage, s.last_id));
+            st.sealed = keep;
+            gone
+        };
+        for s in gone {
+            match std::fs::remove_file(&s.path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    // Keep it on the books; the next persist retries.
+                    lock_recover(&self.state).sealed.push(s);
+                }
+                _ => self.telem.event(EventKind::DeltaLogRetire {
+                    lineage: s.lineage,
+                    first_id: s.first_id,
+                }),
             }
         }
     }
-    Ok((entries, report))
+}
+
+/// The delta log files in `dir`, sorted by name.
+#[cfg(test)]
+pub(crate) fn log_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|d| d.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .and_then(parse_log_name)
+                .is_some()
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The byte ranges (header included) of the intact records of one log
+/// image, in file order.
+#[cfg(test)]
+pub(crate) fn record_spans(bytes: &[u8]) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while let Frame::Record(_, after) = read_frame(bytes, at, true) {
+        out.push(at..after);
+        at = after;
+    }
+    out
+}
+
+/// The ids of every intact record in `dir`'s delta log files.
+#[cfg(test)]
+pub(crate) fn logged_ids(dir: &Path) -> Vec<u32> {
+    let mut out = Vec::new();
+    for path in log_files(dir) {
+        let bytes = std::fs::read(&path).unwrap();
+        for span in record_spans(&bytes) {
+            let payload = bytes[span.start + RECORD_HEADER..span.end].to_vec();
+            out.push(decode_segment(&path, payload).unwrap().global_id);
+        }
+    }
+    out
+}
+
+/// Re-anchor the delta at a superseding publication `anchor` with
+/// `base_n` right entities, through the log when the service is durable.
+pub(crate) fn reanchor_delta(
+    buffer: &DeltaBuffer,
+    log: Option<&DeltaLog>,
+    anchor: u64,
+    base_n: usize,
+) -> Vec<DeltaEntry> {
+    match log {
+        Some(log) => log.reanchor(anchor, base_n, buffer),
+        None => buffer.reanchor(anchor, base_n),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1038,7 +1696,21 @@ mod tests {
 
     #[test]
     fn segment_names_roundtrip_and_reject_foreign_files() {
-        assert_eq!(segment_name(42), "d0000000042.dseg");
+        assert_eq!(log_name(3, 42), "l0000000003-0000000042.dlog");
+        assert_eq!(parse_log_name("l0000000003-0000000042.dlog"), Some((3, 42)));
+        for bad in [
+            "v0000000042.snap",
+            "l3-42.dlog",
+            "l0000000003-0000000042.dlog.tmp",
+            "manifest",
+            "l00000000030-0000000042.dlog",
+            "lXXXXXXXXXX-0000000042.dlog",
+            "d0000000042.dseg",
+        ] {
+            assert_eq!(parse_log_name(bad), None, "{bad}");
+        }
+        // Older releases' segment names stay recognizable, so a store
+        // still holding one is refused by name rather than ignored.
         assert_eq!(parse_segment_name("d0000000042.dseg"), Some(42));
         for bad in [
             "v0000000042.snap",
@@ -1052,43 +1724,79 @@ mod tests {
         }
     }
 
+    /// A log file of `lineage` starting at `first` holding `entries`,
+    /// followed by a preallocated zero tail.
+    fn write_log(dir: &Path, lineage: u64, first: u32, entries: &[DeltaEntry]) -> PathBuf {
+        let records: Vec<u8> = entries.iter().flat_map(encode_record).collect();
+        let last = entries.iter().map(|e| e.global_id).max();
+        ActiveLog::create(dir, lineage, first, &records, last, 256)
+            .unwrap()
+            .path
+    }
+
+    fn ids(entries: &[DeltaEntry]) -> Vec<u32> {
+        entries.iter().map(|e| e.global_id).collect()
+    }
+
+    fn open_log(
+        dir: &Path,
+        version: u64,
+        base_n: usize,
+    ) -> (DeltaLog, Vec<DeltaEntry>, DeltaRecovery) {
+        DeltaLog::open(
+            dir,
+            Some(version),
+            version,
+            base_n,
+            512,
+            ServiceTelemetry::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn recovery_replays_contiguous_prefix_and_drops_the_rest() {
         let dir = daakg_store::TestDir::new("delta-recovery");
         let d = 4;
-        // Segments 10, 11, 12, 14 (gap at 13) plus a folded leftover 8.
-        for id in [8u32, 10, 11, 12, 14] {
-            write_segment(dir.path(), &entry(id, vec![id as f32; d])).unwrap();
-        }
-        let (entries, report) = recover_segments(dir.path(), 10).unwrap();
+        // Records 10, 11, 12, 14 (gap at 13) plus a folded leftover 8.
+        let recs: Vec<DeltaEntry> = [8u32, 10, 11, 12, 14]
+            .iter()
+            .map(|&id| entry(id, vec![id as f32; d]))
+            .collect();
+        write_log(dir.path(), 1, 8, &recs);
+        let (log, entries, report) = open_log(dir.path(), 1, 10);
         assert_eq!(entries.len(), 3, "contiguous 10..=12 replays");
-        assert_eq!(
-            entries.iter().map(|e| e.global_id).collect::<Vec<_>>(),
-            vec![10, 11, 12]
-        );
+        assert_eq!(ids(&entries), vec![10, 11, 12]);
         assert_eq!(report.replayed, 3);
-        // Folded 8 plus out-of-run 14 are removed; 14 is the typed break.
+        // Folded 8 plus out-of-run 14 are dropped; 14 is the typed break.
         assert_eq!(report.removed, 2);
         assert_eq!(report.skipped.len(), 1);
+        assert_eq!(report.skipped[0].0, 14);
         assert!(matches!(report.skipped[0].1, DaakgError::Corrupt { .. }));
-        // Second recovery is clean: only the intact prefix remains.
-        let (entries, report) = recover_segments(dir.path(), 10).unwrap();
+        drop(log);
+        // Second recovery is clean: only the intact prefix remains, in
+        // one rewritten file.
+        let (_log, entries, report) = open_log(dir.path(), 1, 10);
         assert_eq!(entries.len(), 3);
         assert!(report.skipped.is_empty());
         assert_eq!(report.removed, 0);
+        assert_eq!(log_files(dir.path()).len(), 1);
     }
 
     #[test]
     fn corrupt_segment_ends_the_prefix_with_a_typed_error() {
         let dir = daakg_store::TestDir::new("delta-corrupt");
         let d = 4;
-        for id in [5u32, 6, 7] {
-            write_segment(dir.path(), &entry(id, vec![id as f32; d])).unwrap();
-        }
-        // Flip one payload bit in segment 6: 5 survives, 6 and 7 go.
-        let victim = dir.path().join(segment_name(6));
-        daakg_store::fault::flip_bit(&victim, 70, 3).unwrap();
-        let (entries, report) = recover_segments(dir.path(), 5).unwrap();
+        let recs: Vec<DeltaEntry> = [5u32, 6, 7]
+            .iter()
+            .map(|&id| entry(id, vec![id as f32; d]))
+            .collect();
+        let path = write_log(dir.path(), 1, 5, &recs);
+        // Flip one payload bit inside the middle record: 5 survives, 6
+        // and 7 go.
+        let spans = record_spans(&std::fs::read(&path).unwrap());
+        daakg_store::fault::flip_bit(&path, spans[1].start + RECORD_HEADER + 70, 3).unwrap();
+        let (entries, report, _) = recover_log(dir.path(), 1, 5).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].global_id, 5);
         assert_eq!(report.replayed, 1);
@@ -1099,18 +1807,242 @@ mod tests {
         assert!(matches!(err, DaakgError::Corrupt { .. }), "{err}");
     }
 
+    /// Every single-bit flip anywhere in a middle record — header or
+    /// payload — ends the replay right before it with a typed error.
+    #[test]
+    fn log_bit_flip_at_every_byte_of_a_middle_record_is_typed() {
+        let dir = daakg_store::TestDir::new("delta-flip-sweep");
+        let recs: Vec<DeltaEntry> = [5u32, 6, 7]
+            .iter()
+            .map(|&id| entry(id, vec![id as f32 - 0.5; 6]))
+            .collect();
+        let path = write_log(dir.path(), 1, 5, &recs);
+        let clean = std::fs::read(&path).unwrap();
+        let mid = record_spans(&clean)[1].clone();
+        for byte in mid.clone() {
+            let mut bytes = clean.clone();
+            bytes[byte] ^= 1 << (byte % 8);
+            let (entries, report) = replay_logs(&[(1, path.clone(), bytes.clone())], 1, 5);
+            assert_eq!(ids(&entries), vec![5], "flip at byte {byte}");
+            let zero_len = bytes[mid.start..mid.start + 4].iter().all(|&b| b == 0);
+            if zero_len {
+                // A zero length is the end marker: a clean, shorter log.
+                assert!(report.skipped.is_empty(), "flip at byte {byte}");
+            } else {
+                assert_eq!(report.skipped.len(), 1, "flip at byte {byte}");
+                assert_eq!(report.skipped[0].0, 6, "flip at byte {byte}");
+                assert!(
+                    matches!(report.skipped[0].1, DaakgError::Corrupt { .. }),
+                    "flip at byte {byte}: {}",
+                    report.skipped[0].1
+                );
+            }
+        }
+    }
+
+    /// Cutting the log at every byte of its last record (a kill
+    /// mid-append) replays exactly the records before it; any kept byte of
+    /// the torn record is a typed `Corrupt`, and a cut that keeps only
+    /// zeros is indistinguishable from — and treated as — a clean end.
     #[test]
     fn truncated_segment_is_typed_corrupt_at_every_cut() {
         let e = entry(3, vec![0.5; 6]);
         let bytes = encode_segment(&e);
         for cut in [0, 1, 31, bytes.len() / 2, bytes.len() - 1] {
             let err = decode_segment(Path::new("mem"), bytes[..cut].to_vec())
-                .expect_err("truncated segment must not parse");
+                .expect_err("truncated payload must not parse");
             assert!(
                 matches!(err, DaakgError::Corrupt { .. }),
                 "cut {cut}: {err}"
             );
         }
+        let dir = daakg_store::TestDir::new("delta-torn");
+        let recs: Vec<DeltaEntry> = (3u32..6).map(|id| entry(id, vec![0.5; 6])).collect();
+        let path = write_log(dir.path(), 1, 3, &recs);
+        let full = std::fs::read(&path).unwrap();
+        // The file as written replays whole; the cuts below run the same
+        // replay over its truncated images.
+        let (entries, report, _) = recover_log(dir.path(), 1, 3).unwrap();
+        assert_eq!(ids(&entries), vec![3, 4, 5]);
+        assert!(report.skipped.is_empty());
+        let last = record_spans(&full)[2].clone();
+        for cut in last.clone() {
+            let (entries, report) = replay_logs(&[(1, path.clone(), full[..cut].to_vec())], 1, 3);
+            assert_eq!(ids(&entries), vec![3, 4], "cut {cut}");
+            if full[last.start..cut].iter().any(|&b| b != 0) {
+                assert_eq!(report.skipped.len(), 1, "cut {cut}");
+                assert_eq!(report.skipped[0].0, 5, "cut {cut}");
+                assert!(
+                    matches!(report.skipped[0].1, DaakgError::Corrupt { .. }),
+                    "cut {cut}: {}",
+                    report.skipped[0].1
+                );
+            } else {
+                assert!(report.skipped.is_empty(), "cut {cut}");
+            }
+        }
+    }
+
+    /// Recovery replays the newest lineage that starts at or below the
+    /// recovered version; a newer lineage (a training publish that never
+    /// persisted) is reported record by record, an older one is dropped.
+    #[test]
+    fn log_replays_the_newest_durable_lineage_and_reports_newer_ones() {
+        let dir = daakg_store::TestDir::new("delta-lineage");
+        let d = 4;
+        write_log(
+            dir.path(),
+            1,
+            10,
+            &[entry(10, vec![1.0; d]), entry(11, vec![1.5; d])],
+        );
+        write_log(dir.path(), 3, 10, &[entry(10, vec![3.0; d])]);
+        write_log(dir.path(), 5, 10, &[entry(10, vec![5.0; d])]);
+        let (entries, report, found) = recover_log(dir.path(), 4, 10).unwrap();
+        assert_eq!(ids(&entries), vec![10]);
+        assert_eq!(entries[0].raw, vec![3.0; d], "lineage 3 replays");
+        assert_eq!(report.replayed, 1);
+        assert_eq!(
+            report.removed, 3,
+            "lineage 1's two records, lineage 5's one"
+        );
+        assert_eq!(report.skipped.len(), 1);
+        match &report.skipped[0] {
+            (10, DaakgError::Corrupt { section, .. }) => assert_eq!(section, "lineage"),
+            other => panic!("unexpected skip: {other:?}"),
+        }
+        assert_eq!(found.len(), 3);
+    }
+
+    /// A later record for a pending id replaces the earlier one, within a
+    /// file and across rolled files.
+    #[test]
+    fn later_records_replace_earlier_ones_for_pending_ids() {
+        let dir = daakg_store::TestDir::new("delta-replace");
+        let d = 4;
+        write_log(
+            dir.path(),
+            1,
+            10,
+            &[
+                entry(10, vec![1.0; d]),
+                entry(11, vec![2.0; d]),
+                entry(10, vec![3.0; d]),
+            ],
+        );
+        write_log(
+            dir.path(),
+            1,
+            12,
+            &[entry(11, vec![4.0; d]), entry(12, vec![5.0; d])],
+        );
+        let (entries, report, _) = recover_log(dir.path(), 1, 10).unwrap();
+        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+        assert_eq!(ids(&entries), vec![10, 11, 12]);
+        let firsts: Vec<f32> = entries.iter().map(|e| e.raw[0]).collect();
+        assert_eq!(firsts, vec![3.0, 4.0, 5.0]);
+    }
+
+    /// Validation precedes logging (a refused entry writes nothing), folds
+    /// roll and retire files behind persists, a re-anchor starts a new
+    /// lineage whose predecessor is retired only once the new lineage
+    /// persisted, and a filling file asks for a roll.
+    #[test]
+    fn log_commits_rolls_and_retires_behind_persists() {
+        let dir = daakg_store::TestDir::new("delta-log-life");
+        let d = 4;
+        let (log, entries, _) = open_log(dir.path(), 1, 10);
+        assert!(entries.is_empty());
+        let buf = DeltaBuffer::new(1, 10, d);
+        let names = || -> Vec<String> {
+            log_files(dir.path())
+                .iter()
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+                .collect()
+        };
+        assert_eq!(names(), vec![log_name(1, 10)]);
+        let before = std::fs::read(dir.path().join(log_name(1, 10))).unwrap();
+        assert!(log.commit(entry(11, vec![0.0; d]), &buf, false).is_err());
+        assert!(log
+            .commit(entry(10, vec![0.0; d + 1]), &buf, false)
+            .is_err());
+        assert!(log.commit(entry(10, vec![0.0; d]), &buf, true).is_err());
+        let after = std::fs::read(dir.path().join(log_name(1, 10))).unwrap();
+        assert_eq!(before, after, "a refused entry logs nothing");
+        assert_eq!(buf.depth(), 0);
+
+        log.commit(entry(10, vec![1.0; d]), &buf, false).unwrap();
+        log.commit(entry(11, vec![2.0; d]), &buf, false).unwrap();
+        log.commit(entry(10, vec![3.0; d]), &buf, true).unwrap();
+        assert_eq!(buf.depth(), 2);
+        // A fold of both entries persisted: the file rolls and retires.
+        buf.fold_committed(2, 2);
+        log.after_persist(1, 12);
+        assert_eq!(names(), vec![log_name(1, 12)]);
+        log.commit(entry(12, vec![4.0; d]), &buf, false).unwrap();
+        // A retrain at v3: a new lineage file; the old one waits for the
+        // retrain's persist.
+        let dropped = log.reanchor(3, 12, &buf);
+        assert_eq!(dropped.len(), 1);
+        assert_eq!(names(), vec![log_name(1, 12), log_name(3, 12)]);
+        log.after_persist(3, 12);
+        assert_eq!(names(), vec![log_name(3, 12)]);
+        // Fill the 512-byte file past its roll mark; the compactor rolls.
+        let mut roll = false;
+        for id in 12..40u32 {
+            roll = log
+                .commit(entry(id, vec![id as f32; d]), &buf, false)
+                .unwrap();
+            if roll {
+                break;
+            }
+        }
+        assert!(roll, "a filling file asks for a roll");
+        log.maintain().unwrap();
+        assert_eq!(names().len(), 2);
+        let (_, replayed, report) = {
+            drop(log);
+            open_log(dir.path(), 3, 12)
+        };
+        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+        assert_eq!(
+            ids(&replayed),
+            ids(&buf.pending().1),
+            "rolled files replay in order"
+        );
+    }
+
+    /// A re-anchor for a publish the buffer already follows (the
+    /// compactor and the training publish racing to re-anchor) is a
+    /// no-op: it neither recreates the lineage's file over acknowledged
+    /// records nor leaves a sealed entry under the active file's name
+    /// for a persist to unlink — so every acknowledged record replays.
+    #[test]
+    fn repeated_reanchor_keeps_the_active_log_and_its_records() {
+        let dir = daakg_store::TestDir::new("delta-log-double-reanchor");
+        let d = 4;
+        let (log, _, _) = open_log(dir.path(), 1, 10);
+        let buf = DeltaBuffer::new(1, 10, d);
+        log.commit(entry(10, vec![1.0; d]), &buf, false).unwrap();
+        assert_eq!(reanchor_delta(&buf, Some(&log), 3, 11).len(), 1);
+        // Nothing acknowledged in between.
+        assert!(reanchor_delta(&buf, Some(&log), 3, 11).is_empty());
+        log.after_persist(3, 11);
+        let active = dir.path().join(log_name(3, 11));
+        assert!(active.exists(), "a persist never unlinks the active file");
+        log.commit(entry(11, vec![2.0; d]), &buf, false).unwrap();
+        log.commit(entry(12, vec![3.0; d]), &buf, false).unwrap();
+        // Records acknowledged in between.
+        assert!(reanchor_delta(&buf, Some(&log), 3, 11).is_empty());
+        assert_eq!(ids(&buf.pending().1), vec![11, 12], "nothing dropped");
+        log.after_persist(3, 11);
+        log.commit(entry(13, vec![4.0; d]), &buf, false).unwrap();
+        assert_eq!(log_files(dir.path()), vec![active]);
+        drop(log);
+        let (_, replayed, report) = open_log(dir.path(), 3, 11);
+        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+        assert_eq!(ids(&replayed), vec![11, 12, 13]);
+        assert_eq!(replayed, buf.pending().1, "replayed bitwise");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! refusing to start, and the skipped version number is simply republished
 //! (atomically overwriting the corrupt file) as training resumes.
 
+use crate::batched::BatchedSimilarity;
 use crate::snapshot::{AlignmentSnapshot, SnapshotParts};
 use crate::weights::EntityWeights;
 use daakg_autograd::Tensor;
@@ -114,9 +115,9 @@ pub fn decode_snapshot(path: &Path, bytes: Vec<u8>) -> Result<AlignmentSnapshot,
         ));
     }
     let parts = SnapshotParts {
-        ents1: next(),
+        ents1: Arc::new(next()),
         ents2: next(),
-        mapped_ents1: next(),
+        mapped_ents1: Arc::new(next()),
         rels1: next(),
         rels2: next(),
         mapped_rels1: next(),
@@ -137,7 +138,8 @@ pub fn decode_snapshot(path: &Path, bytes: Vec<u8>) -> Result<AlignmentSnapshot,
         use_class_embeddings: flags[1] != 0,
     };
     let mut snap =
-        AlignmentSnapshot::from_parts(parts).map_err(|reason| r.corrupt("snapshot", reason))?;
+        AlignmentSnapshot::from_parts(parts, |p| BatchedSimilarity::new(&p.mapped_ents1, &p.ents2))
+            .map_err(|reason| r.corrupt("snapshot", reason))?;
     if r.has("ivfcfg") {
         let cfg = r.u64s("ivfcfg")?;
         if cfg.len() != 3 {

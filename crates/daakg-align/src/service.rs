@@ -42,8 +42,8 @@
 
 use crate::config::JointConfig;
 use crate::delta::{
-    self, Compactor, DeltaBuffer, DeltaEntry, DeltaRecovery, DeltaSlab, DeltaTriple, LiveConfig,
-    LiveHealth, LiveStats,
+    self, Compactor, DeltaBuffer, DeltaEntry, DeltaLog, DeltaRecovery, DeltaSlab, DeltaTriple,
+    LiveConfig, LiveHealth, LiveStats,
 };
 use crate::ingress::{lock_recover, IngressStats};
 use crate::joint::{JointModel, LabeledMatches};
@@ -291,17 +291,22 @@ struct LiveState {
     cfg: LiveConfig,
     /// The append-only delta corpus, shared with the compactor.
     buffer: Arc<DeltaBuffer>,
+    /// The durable delta log of a durable service, shared with the
+    /// compactor (which rolls and retires its files).
+    log: Option<Arc<DeltaLog>>,
     /// Compaction counters, shared with the compactor.
     stats: Arc<LiveStats>,
-    /// Serializes upserts: id assignment, warm start, and the segment
-    /// write must be one unit.
+    /// Serializes upserts, so the id a warm start was computed for is
+    /// still the next id when its record is logged. The log's own lock
+    /// (not this one) makes the validate → `fdatasync` → buffer-append
+    /// step atomic against re-anchors.
     upsert_lock: Mutex<()>,
     /// Serializes folds between the compactor thread and `compact_now`.
     fold_lock: Arc<Mutex<()>>,
     /// The background compaction thread; dropped (stop + join) with the
     /// service.
     compactor: Option<Compactor>,
-    /// What delta-segment replay found on a warm restart.
+    /// What delta-log replay found on a warm restart.
     recovery: Option<DeltaRecovery>,
 }
 
@@ -1175,11 +1180,19 @@ impl AlignmentService {
     }
 
     /// Publish a training result: supersede the pending live delta (if
-    /// enabled), persist, and retire the superseded delta segment files
-    /// only once the superseding snapshot is durably on disk. If the
-    /// persist fails, the segments stay — they are the only durable
-    /// copies of the acknowledged upserts, and a restart then recovers
-    /// the pre-retrain snapshot and replays them intact.
+    /// enabled) by starting a new log lineage, persist, and retire the
+    /// superseded lineage's log files only once the superseding snapshot
+    /// is durably on disk. If the persist fails, the files stay — they
+    /// are the only durable copies of the acknowledged upserts, and a
+    /// restart then recovers the pre-retrain snapshot and replays them
+    /// intact, while records logged under the never-persisted lineage are
+    /// reported as skipped.
+    ///
+    /// The new lineage's log file must exist before the snapshot
+    /// persists — a restart picks the replayed lineage by the files on
+    /// disk — so if it cannot be created, this returns that error and
+    /// does not persist (the publish still serves, as after a failed
+    /// persist).
     fn publish_trained(&self, snap: AlignmentSnapshot) -> Result<VersionedSnapshot, DaakgError> {
         let published = self.registry.publish_pinned(snap);
         self.note_publish(published.version.get());
@@ -1190,11 +1203,15 @@ impl AlignmentService {
                 dropped: dropped.len(),
             });
         }
-        let persisted = self.persist(&published);
-        if persisted.is_ok() {
-            self.remove_segments(&dropped);
+        let log = self.live.as_ref().and_then(|l| l.log.as_ref());
+        if let Some(log) = log {
+            log.ensure_active()?;
         }
-        persisted?;
+        self.persist(&published)?;
+        if let Some(log) = log {
+            let n2 = published.snapshot.entity_counts().1;
+            log.after_persist(published.version.get(), n2);
+        }
         Ok(published)
     }
 
@@ -1248,15 +1265,21 @@ impl AlignmentService {
     /// a background compactor thread that periodically folds pending
     /// entries into a newly published snapshot (rebuilt IVF included).
     ///
-    /// On a durable service, pending deltas are also persisted as atomic
-    /// segment files next to the snapshots, and this call first replays
-    /// whatever intact segments a previous process left behind (the
-    /// returned [`DeltaRecovery`] says what was replayed, skipped, or
-    /// cleaned up). Torn or corrupt segments end the replay at the last
-    /// intact prefix with typed [`DaakgError::Corrupt`] diagnostics.
+    /// On a durable service, pending deltas are also logged as
+    /// checksummed records in an append-only delta log next to the
+    /// snapshots, and this call first replays whatever intact records a
+    /// previous process left behind (the returned [`DeltaRecovery`] says
+    /// what was replayed, skipped, or dropped), rewrites them into a
+    /// fresh preallocated log file, and retires the old files. A torn or
+    /// flipped record ends the replay at the last intact prefix with a
+    /// typed [`DaakgError::Corrupt`] diagnostic. The logs extend the
+    /// snapshot the store recovered at open: if a training publish came
+    /// in between, it supersedes them and nothing replays. A store that
+    /// still holds an older release's per-upsert `.dseg` segment file is
+    /// a typed [`DaakgError::Corrupt`] naming that file.
     ///
     /// Call once, before sharing the service; a second call is a typed
-    /// error. What segment replay found is kept in
+    /// error. What log replay found is kept in
     /// [`AlignmentService::live_recovery`].
     pub fn enable_live(&mut self, cfg: LiveConfig) -> Result<(), DaakgError> {
         cfg.validate()?;
@@ -1271,10 +1294,20 @@ impl AlignmentService {
         let dim = cur.snapshot.ents2.cols();
         let buffer = Arc::new(DeltaBuffer::new(cur.version.get(), base_n, dim));
         let mut recovery = None;
+        let mut log = None;
         if let Some(dir) = self.store_dir() {
-            let (entries, report) = delta::recover_segments(dir, base_n)?;
+            let recovered = self.recovery().and_then(RecoveryReport::latest_intact);
+            let (opened, entries, report) = DeltaLog::open(
+                dir,
+                recovered,
+                cur.version.get(),
+                base_n,
+                delta::log_file_bytes(dim, cfg.compact_after),
+                self.telem().clone(),
+            )?;
             buffer.restore(entries)?;
             recovery = Some(report);
+            log = Some(Arc::new(opened));
         }
         let stats = Arc::new(LiveStats::default());
         let fold_lock = Arc::new(Mutex::new(()));
@@ -1282,6 +1315,7 @@ impl AlignmentService {
             let registry = Arc::clone(&self.registry);
             let durable = Arc::clone(&self.durable);
             let buffer = Arc::clone(&buffer);
+            let log = log.clone();
             let stats = Arc::clone(&stats);
             let fold_lock = Arc::clone(&fold_lock);
             let index = self.serving.index.clone();
@@ -1289,8 +1323,19 @@ impl AlignmentService {
                 let _guard = lock_recover(&fold_lock);
                 // Persist failures are already recorded in the shared
                 // health counters; the tick has no caller to surface the
-                // error to, so it is dropped here after recording.
-                let _ = fold_once(&registry, &durable, &buffer, &stats, index.as_ref());
+                // error to, so it is dropped here after recording. A
+                // failed log roll is retried on the next tick.
+                let _ = fold_once(
+                    &registry,
+                    &durable,
+                    &buffer,
+                    log.as_deref(),
+                    &stats,
+                    index.as_ref(),
+                );
+                if let Some(log) = &log {
+                    let _ = log.maintain();
+                }
             })
         };
         let compactor = Compactor::spawn(
@@ -1306,6 +1351,7 @@ impl AlignmentService {
         self.live = Some(LiveState {
             cfg,
             buffer,
+            log,
             stats,
             upsert_lock: Mutex::new(()),
             fold_lock,
@@ -1325,7 +1371,7 @@ impl AlignmentService {
         self.live.as_ref().map(|l| &l.cfg)
     }
 
-    /// What delta-segment replay found when [`AlignmentService::enable_live`]
+    /// What delta-log replay found when [`AlignmentService::enable_live`]
     /// warm-restarted a durable service; `None` when live updates are off
     /// or nothing was on disk to replay.
     pub fn live_recovery(&self) -> Option<&DeltaRecovery> {
@@ -1363,12 +1409,13 @@ impl AlignmentService {
     /// to existing right entities (or earlier pending delta entities) —
     /// its embedding is warm-start fine-tuned against the frozen
     /// published tables ([`daakg_embed::warm_start_row`]: deterministic
-    /// at any thread count), appended to the delta buffer, and, on a
-    /// durable service, persisted as an atomic segment file *before* it
-    /// becomes queryable. Returns the new global right-entity id: every
-    /// subsequent query merges the entity exactly (bitwise-equal to a
-    /// scan over the union corpus) until a compaction folds it into the
-    /// published snapshot — or a full retrain supersedes it.
+    /// at any thread count), and appended to the delta buffer — on a
+    /// durable service only after its delta-log record is written and
+    /// `fdatasync`ed, so it is durable *before* it becomes queryable.
+    /// Returns the new global right-entity id: every subsequent query
+    /// merges the entity exactly (bitwise-equal to a scan over the union
+    /// corpus) until a compaction folds it into the published snapshot —
+    /// or a full retrain supersedes it.
     pub fn upsert_entity(&self, triples: &[DeltaTriple]) -> Result<u32, DaakgError> {
         let live = self.live_required()?;
         if triples.is_empty() {
@@ -1387,18 +1434,8 @@ impl AlignmentService {
             raw,
             triples: triples.to_vec(),
         };
-        if let Some(dir) = self.store_dir() {
-            delta::write_segment(dir, &entry)?;
-        }
-        if let Err(e) = live.buffer.append(entry) {
-            // Undo the segment write so a failed append cannot leave an
-            // orphan that a later restart would replay.
-            if let Some(dir) = self.store_dir() {
-                let _ = delta::remove_segment(dir, id);
-            }
-            return Err(e);
-        }
-        if live.buffer.depth() >= live.cfg.compact_after {
+        let roll = live.commit(entry, false)?;
+        if roll || live.buffer.depth() >= live.cfg.compact_after {
             if let Some(c) = &live.compactor {
                 c.nudge();
             }
@@ -1429,8 +1466,8 @@ impl AlignmentService {
         // replace unit (lock order: upsert_lock before fold_lock; no path
         // takes them in the reverse order). Without this, a fold could
         // clone the entry, publish the folded snapshot with the OLD
-        // embedding, and then drain the replacement and delete its freshly
-        // written segment — silently losing an acknowledged update.
+        // embedding, and then drain the replacement and retire its freshly
+        // logged record — silently losing an acknowledged update.
         let _fold = lock_recover(&live.fold_lock);
         let cur = self.registry.current();
         let (base_n, pending) = live.buffer.pending();
@@ -1450,10 +1487,12 @@ impl AlignmentService {
             raw,
             triples: merged,
         };
-        if let Some(dir) = self.store_dir() {
-            delta::write_segment(dir, &entry)?;
+        if live.commit(entry, true)? {
+            if let Some(c) = &live.compactor {
+                c.nudge();
+            }
         }
-        live.buffer.replace(entry)
+        Ok(())
     }
 
     /// Synchronously fold all pending delta entries into a new published
@@ -1466,6 +1505,7 @@ impl AlignmentService {
             &self.registry,
             &self.durable,
             &live.buffer,
+            live.log.as_deref(),
             &live.stats,
             self.serving.index.as_ref(),
         )
@@ -1524,26 +1564,35 @@ impl AlignmentService {
     /// lock, so an in-flight fold can never commit (and drain the buffer)
     /// against an anchor this supersession just invalidated — and return
     /// the dropped entries. Superseded entities re-enter through the KGs
-    /// at the next retrain, or through fresh upserts; their segment files
-    /// are retired by the caller only after the superseding snapshot has
-    /// durably persisted ([`AlignmentService::remove_segments`]).
+    /// at the next retrain, or through fresh upserts; on a durable service
+    /// fresh upserts go to a new log lineage, and the superseded lineage's
+    /// files are retired only after the superseding snapshot has durably
+    /// persisted ([`DeltaLog::after_persist`]).
     fn reanchor_live(&self, published: &VersionedSnapshot) -> Vec<DeltaEntry> {
         let Some(live) = &self.live else {
             return Vec::new();
         };
         let _guard = lock_recover(&live.fold_lock);
         let n2 = published.snapshot.entity_counts().1;
-        live.buffer.reanchor(published.version.get(), n2)
+        delta::reanchor_delta(
+            &live.buffer,
+            live.log.as_deref(),
+            published.version.get(),
+            n2,
+        )
     }
+}
 
-    /// Best-effort removal of superseded delta segment files. Call only
-    /// once the superseding snapshot is durably on disk; anything missed
-    /// here is cleaned up by segment recovery at the next warm restart.
-    fn remove_segments(&self, dropped: &[DeltaEntry]) {
-        if let Some(dir) = self.store_dir() {
-            for e in dropped {
-                let _ = delta::remove_segment(dir, e.global_id);
-            }
+impl LiveState {
+    /// Apply one warm-started entry — the next append, or the replacement
+    /// of a pending id — through the delta log on a durable service (the
+    /// entry is queryable only once its record is synced), or straight
+    /// into the buffer otherwise. Returns whether the log wants a roll.
+    fn commit(&self, entry: DeltaEntry, replace: bool) -> Result<bool, DaakgError> {
+        match &self.log {
+            Some(log) => log.commit(entry, &self.buffer, replace),
+            None if replace => self.buffer.replace(entry).map(|()| false),
+            None => self.buffer.append(entry).map(|()| false),
         }
     }
 }
@@ -1567,6 +1616,7 @@ fn fold_once(
     registry: &SnapshotRegistry,
     durable: &PersistState,
     buffer: &DeltaBuffer,
+    log: Option<&DeltaLog>,
     stats: &LiveStats,
     index: Option<&IvfConfig>,
 ) -> Result<Option<VersionedSnapshot>, DaakgError> {
@@ -1576,12 +1626,12 @@ fn fold_once(
     if buffer.anchor() != anchor {
         // A publish moved the registry under the pending delta without a
         // service-level reanchor (registry handles are shareable):
-        // re-anchor and skip this pass. The dropped entries' segment files
-        // are deliberately left in place — whether the superseding
-        // snapshot is durable is unknowable here, and until it is, those
-        // files are the only durable copies of the acknowledged upserts.
-        // Recovery removes whatever a later persisted snapshot folded in.
-        let _ = buffer.reanchor(anchor, n2);
+        // re-anchor onto a new log lineage and skip this pass. The old
+        // lineage's files are deliberately left in place — whether the
+        // superseding snapshot is durable is unknowable here, and until
+        // it is, those files are the only durable copies of the
+        // acknowledged upserts. The next persisted fold retires them.
+        let _ = delta::reanchor_delta(buffer, log, anchor, n2);
         return Ok(None);
     }
     let Some(entries) = buffer.fold_candidates(anchor) else {
@@ -1622,26 +1672,26 @@ fn fold_once(
         version: published.version.get(),
         folded: count,
     });
-    if persisted.is_ok() {
-        // Retire segments only behind a successful persist: until the
-        // folded snapshot is durably on disk, the segment files are the
+    if let (Ok(()), Some(log)) = (&persisted, log) {
+        // Retire log files only behind a successful persist: until the
+        // folded snapshot is durably on disk, the logged records are the
         // only durable copies of the acknowledged upserts. On a persist
         // failure they stay — a restart then recovers the pre-fold
         // snapshot and replays them intact, and once a later snapshot
-        // persists, recovery's id rule deletes the folded leftovers.
-        // Removal itself is best-effort for the same reason.
-        if let Some(store) = &durable.store {
-            for e in &entries {
-                let _ = delta::remove_segment(store.dir(), e.global_id);
-            }
-        }
+        // persists, it retires them. Retirement itself is best-effort for
+        // the same reason: recovery drops whatever a persisted snapshot
+        // already folded.
+        log.after_persist(log.lineage(), n2 + count);
     }
     stats.record(published.version.get());
     persisted?;
     Ok(Some(published))
 }
 
-/// Build the folded snapshot: `base` with the delta rows appended.
+/// Build the folded snapshot: `base` with the delta rows appended. The
+/// left-side matrices (`ents1`, `mapped_ents1`) and the entity engine's
+/// normalized query rows are shared with `base`, not copied, so each
+/// retained fold version costs only its right-side rows.
 fn fold_snapshot(
     base: &AlignmentSnapshot,
     entries: &[DeltaEntry],
@@ -1678,9 +1728,9 @@ fn fold_snapshot(
     }
 
     let parts = SnapshotParts {
-        ents1: base.ents1.clone(),
+        ents1: Arc::clone(&base.ents1),
         ents2,
-        mapped_ents1: base.mapped_ents1.clone(),
+        mapped_ents1: Arc::clone(&base.mapped_ents1),
         rels1: base.rels1.clone(),
         rels2: base.rels2.clone(),
         mapped_rels1: base.mapped_rels1.clone(),
@@ -1697,10 +1747,11 @@ fn fold_snapshot(
         use_mean_embeddings: base.use_mean_embeddings,
         use_class_embeddings: base.use_class_embeddings,
     };
-    AlignmentSnapshot::from_parts(parts).map_err(|reason| DaakgError::InvalidConfig {
-        context: "delta fold",
-        reason,
-    })
+    AlignmentSnapshot::from_parts(parts, |p| base.entity_engine().with_candidates(&p.ents2))
+        .map_err(|reason| DaakgError::InvalidConfig {
+            context: "delta fold",
+            reason,
+        })
 }
 
 #[cfg(test)]
@@ -2559,13 +2610,15 @@ mod tests {
             assert_eq!(post.deltas_merged, 3);
             assert_bitwise(&pre.value, &post.value, "restart");
         }
-        // Torn write on the middle segment: replay stops at the last
-        // intact prefix with a typed Corrupt diagnostic; the torn file
-        // and everything after it are removed so their ids can be
+        // Torn write inside the middle record: replay stops at the last
+        // intact prefix with a typed Corrupt diagnostic; the torn record
+        // and everything after it are dropped so their ids can be
         // re-issued safely.
-        let seg1 = td.path().join(delta::segment_name(ids[1]));
-        let bytes = std::fs::read(&seg1).unwrap();
-        std::fs::write(&seg1, &bytes[..bytes.len() / 2]).unwrap();
+        let files = delta::log_files(td.path());
+        assert_eq!(files.len(), 1, "the restart rewrote one live log file");
+        let bytes = std::fs::read(&files[0]).unwrap();
+        let mid = delta::record_spans(&bytes)[1].clone();
+        std::fs::write(&files[0], &bytes[..(mid.start + mid.end) / 2]).unwrap();
         {
             let svc = open();
             let rec = svc.live_recovery().unwrap();
@@ -2729,11 +2782,11 @@ mod tests {
         assert_eq!(post.value.len(), n2 + 2, "folded corpus serves plainly");
     }
 
-    /// A fold whose persist fails must NOT retire the folded delta
-    /// segments: until the folded snapshot is durably on disk they are
-    /// the only durable copies of the acknowledged upserts. The publish
-    /// still stands in memory; a restart recovers the pre-fold snapshot
-    /// and replays the surviving segments, bitwise.
+    /// A fold whose persist fails must NOT retire the folded delta log
+    /// records: until the folded snapshot is durably on disk they are the
+    /// only durable copies of the acknowledged upserts. The publish still
+    /// stands in memory; a restart recovers the pre-fold snapshot and
+    /// replays the surviving records, bitwise.
     #[test]
     fn failed_fold_persist_keeps_segments_and_restart_replays_them() {
         let td = daakg_store::TestDir::new("live-fold-persist");
@@ -2768,11 +2821,12 @@ mod tests {
             assert_eq!(folded.deltas_merged, 0);
             assert_bitwise(&pre.value, &folded.value, "fold");
             assert!(svc.health().durability_degraded);
-            // ...but the segment files survive the failed persist.
+            // ...but the log records survive the failed persist.
+            let logged = delta::logged_ids(td.path());
             for id in [i0, i1] {
                 assert!(
-                    td.path().join(delta::segment_name(id)).exists(),
-                    "segment {id} must stay on disk"
+                    logged.contains(&id),
+                    "record {id} must stay in a live log file"
                 );
             }
             std::fs::remove_dir(&blocker).unwrap();
@@ -2790,9 +2844,10 @@ mod tests {
     }
 
     /// A retrain whose persist fails superseded the pending delta in
-    /// memory, but no durable snapshot supersedes the segments — so they
-    /// must stay on disk and replay on top of the recovered pre-retrain
-    /// snapshot. Only a successfully persisted retrain retires them.
+    /// memory, but no durable snapshot supersedes the log records — so
+    /// they must stay on disk and replay on top of the recovered
+    /// pre-retrain snapshot. Only a successfully persisted retrain
+    /// retires them.
     #[test]
     fn failed_retrain_persist_keeps_superseded_segments_for_replay() {
         let td = daakg_store::TestDir::new("live-retrain-persist");
@@ -2820,12 +2875,13 @@ mod tests {
             // In memory the retrain supersedes the pending delta...
             assert_eq!(svc.live_health().unwrap().delta_depth, 0);
             assert_eq!(svc.query(0, QueryOptions::rank()).unwrap().deltas_merged, 0);
-            // ...but without a durable superseding snapshot the segment
-            // files are not retired.
+            // ...but without a durable superseding snapshot the log
+            // records are not retired.
+            let logged = delta::logged_ids(td.path());
             for id in [i0, i1] {
                 assert!(
-                    td.path().join(delta::segment_name(id)).exists(),
-                    "segment {id} must stay on disk"
+                    logged.contains(&id),
+                    "record {id} must stay in a live log file"
                 );
             }
             std::fs::remove_dir(&blocker).unwrap();
@@ -2843,12 +2899,361 @@ mod tests {
         assert_eq!(post.value.len(), svc.kg2().num_entities() + 2);
         // A retrain that persists successfully retires them for good.
         svc.train(&example_labels(&svc)).unwrap();
+        let logged = delta::logged_ids(td.path());
         for id in ids {
             assert!(
-                !td.path().join(delta::segment_name(id)).exists(),
-                "segment {id} must be retired after a persisted retrain"
+                !logged.contains(&id),
+                "record {id} must be retired after a persisted retrain"
             );
         }
+    }
+
+    /// A durable live service over `td` with `telemetry`, live enabled.
+    fn open_durable_live(
+        td: &Path,
+        cfg: LiveConfig,
+        telemetry: TelemetryConfig,
+    ) -> AlignmentService {
+        let mut svc = AlignmentService::open(
+            tiny_cfg(),
+            ServingConfig {
+                telemetry,
+                ..ServingConfig::default()
+            },
+            Arc::new(example_dbpedia()),
+            Arc::new(example_wikidata()),
+            td,
+        )
+        .unwrap();
+        svc.enable_live(cfg).unwrap();
+        svc
+    }
+
+    /// A retrain whose persist failed must not let the next upserts —
+    /// warm-started against the never-persisted tables, with re-issued
+    /// ids — overwrite the only durable copies of the acknowledged ones:
+    /// they are logged under the retrain's own lineage, which a restart
+    /// that recovers the pre-retrain snapshot does not replay.
+    #[test]
+    fn live_failed_retrain_persist_never_lets_new_upserts_overwrite_acknowledged_ones() {
+        let td = daakg_store::TestDir::new("live-retrain-lineage");
+        let open = || open_durable_live(td.path(), manual_live(), TelemetryConfig::default());
+        let (pre, j0) = {
+            let svc = open();
+            let i0 = svc.upsert_entity(&[triple(0, 0)]).unwrap();
+            svc.upsert_entity(&[triple(1, i0)]).unwrap();
+            let pre = svc.query(0, QueryOptions::rank()).unwrap();
+            assert_eq!(pre.deltas_merged, 2);
+            let blocker = td.path().join("v0000000002.snap.tmp");
+            std::fs::create_dir(&blocker).unwrap();
+            let labels = example_labels(&svc);
+            svc.train(&labels).expect_err("retrain persist must fail");
+            std::fs::remove_dir(&blocker).unwrap();
+            // The re-anchored buffer re-issues the first delta id.
+            let j0 = svc.upsert_entity(&[triple(0, 1)]).unwrap();
+            assert_eq!(j0, i0);
+            (pre, j0)
+        };
+        let svc = open();
+        assert_eq!(svc.version().get(), 1, "only v1 ever persisted");
+        let rec = svc.live_recovery().unwrap();
+        assert_eq!(rec.replayed, 2);
+        assert!(
+            rec.skipped
+                .iter()
+                .any(|(id, e)| *id == j0 && matches!(e, DaakgError::Corrupt { .. })),
+            "the never-durable lineage's upsert must be reported: {:?}",
+            rec.skipped
+        );
+        let post = svc.query(0, QueryOptions::rank()).unwrap();
+        assert_eq!(post.deltas_merged, 2);
+        assert_bitwise(&pre.value, &post.value, "acknowledged upserts replay");
+    }
+
+    /// A retrain whose lineage file cannot be created does not persist:
+    /// a restart picks the replayed lineage by the files on disk, so a
+    /// durable v2 without its file would replay v1-lineage rows onto v2's
+    /// tables. Upserts meanwhile fail with a typed IO error, and the first
+    /// one after the obstacle clears creates the file itself — no
+    /// compactor tick needed.
+    #[test]
+    fn live_retrain_without_its_log_file_never_persists() {
+        let td = daakg_store::TestDir::new("live-retrain-no-log");
+        let open = || open_durable_live(td.path(), manual_live(), TelemetryConfig::default());
+        let n2 = example_wikidata().num_entities() as u32;
+        let pre = {
+            let svc = open();
+            let i0 = svc.upsert_entity(&[triple(0, 0)]).unwrap();
+            svc.upsert_entity(&[triple(1, i0)]).unwrap();
+            let pre = svc.query(0, QueryOptions::rank()).unwrap();
+            let blocker = td.path().join(format!(
+                "{}{}",
+                delta::log_name(2, n2),
+                daakg_store::store::TMP_SUFFIX
+            ));
+            std::fs::create_dir(&blocker).unwrap();
+            let labels = example_labels(&svc);
+            let err = svc.train(&labels).expect_err("no lineage file, no persist");
+            assert!(matches!(err, DaakgError::IoAt { .. }), "{err}");
+            assert!(!td.path().join("v0000000002.snap").exists());
+            let refused = svc.upsert_entity(&[triple(0, 1)]);
+            assert!(
+                matches!(refused, Err(DaakgError::IoAt { .. })),
+                "{refused:?}"
+            );
+            std::fs::remove_dir(&blocker).unwrap();
+            let j0 = svc.upsert_entity(&[triple(0, 1)]).unwrap();
+            assert_eq!(j0, n2);
+            assert_eq!(delta::logged_ids(td.path()), vec![n2, n2 + 1, n2]);
+            pre
+        };
+        let svc = open();
+        assert_eq!(svc.version().get(), 1, "only v1 ever persisted");
+        let rec = svc.live_recovery().unwrap();
+        assert_eq!(rec.replayed, 2);
+        let post = svc.query(0, QueryOptions::rank()).unwrap();
+        assert_eq!(post.deltas_merged, 2);
+        assert_bitwise(&pre.value, &post.value, "acknowledged upserts replay");
+    }
+
+    /// Folds roll and retire log files, so a durable live service never
+    /// holds more than two of them, and no per-upsert segment file is
+    /// ever created.
+    #[test]
+    fn live_log_files_stay_bounded_and_no_segments_appear() {
+        let td = daakg_store::TestDir::new("live-bounded");
+        let compact_after = 4;
+        let cfg = LiveConfig {
+            compact_after,
+            tick: std::time::Duration::from_secs(3600),
+            ..LiveConfig::default()
+        };
+        let svc = open_durable_live(td.path(), cfg, TelemetryConfig::default());
+        let count = |ext: &str| {
+            std::fs::read_dir(td.path())
+                .unwrap()
+                .filter(|d| {
+                    d.as_ref()
+                        .unwrap()
+                        .path()
+                        .extension()
+                        .is_some_and(|e| e == ext)
+                })
+                .count()
+        };
+        for i in 0..5 * compact_after {
+            svc.upsert_entity(&[triple(0, (i % 3) as u32)]).unwrap();
+            if (i + 1) % compact_after == 0 {
+                // The threshold also nudges the background compactor;
+                // whichever fold runs first, the delta drains.
+                svc.compact_now().unwrap();
+                assert_eq!(svc.live_health().unwrap().delta_depth, 0);
+            }
+            assert!(
+                count("dlog") <= 2,
+                "{} log files after upsert {i}",
+                count("dlog")
+            );
+            assert_eq!(count("dseg"), 0, "no segment file, ever");
+        }
+        assert!(svc.live_health().unwrap().compactions >= 5);
+    }
+
+    /// A store that still holds an older release's `.dseg` segment is
+    /// refused at `enable_live` with a typed error naming the file —
+    /// never a silent skip, and the file is left for the operator.
+    #[test]
+    fn live_legacy_segment_file_is_a_typed_error_at_enable_live() {
+        let td = daakg_store::TestDir::new("live-legacy");
+        let open = || {
+            AlignmentService::open(
+                tiny_cfg(),
+                ServingConfig::default(),
+                Arc::new(example_dbpedia()),
+                Arc::new(example_wikidata()),
+                td.path(),
+            )
+            .unwrap()
+        };
+        drop(open());
+        let n2 = example_wikidata().num_entities() as u32;
+        let legacy = td.path().join(format!("d{n2:010}.dseg"));
+        let image = delta::encode_segment(&DeltaEntry {
+            global_id: n2,
+            raw: vec![0.5; 8],
+            triples: vec![triple(0, 0)],
+        });
+        std::fs::write(&legacy, image).unwrap();
+        let mut svc = open();
+        let err = svc.enable_live(manual_live()).unwrap_err();
+        match &err {
+            DaakgError::Corrupt { path, .. } => assert_eq!(path, &legacy),
+            other => panic!("expected a typed Corrupt naming the segment: {other}"),
+        }
+        assert!(
+            err.to_string().contains(&format!("d{n2:010}.dseg")),
+            "{err}"
+        );
+        assert!(!svc.is_live());
+        assert!(legacy.exists(), "the segment is left for the operator");
+    }
+
+    /// One durable upsert costs exactly one record append and one
+    /// `fdatasync`, and the ack path creates, renames, or grows no file:
+    /// the directory listing (names and sizes) is unchanged.
+    #[test]
+    fn live_upsert_ack_is_one_append_one_sync_and_no_file_create() {
+        let td = daakg_store::TestDir::new("live-ack-io");
+        let svc = open_durable_live(td.path(), manual_live(), TelemetryConfig::default());
+        let listing = || {
+            let mut v: Vec<(String, u64)> = std::fs::read_dir(td.path())
+                .unwrap()
+                .map(|d| {
+                    let d = d.unwrap();
+                    let name = d.file_name().to_string_lossy().into_owned();
+                    (name, d.metadata().unwrap().len())
+                })
+                .collect();
+            v.sort();
+            v
+        };
+        let reg = svc.telemetry().registry().clone();
+        let hist = |name: &str| {
+            reg.histograms()
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, h)| h.count())
+        };
+        let syncs = || {
+            reg.counters()
+                .into_iter()
+                .find(|(n, _)| n == "delta_log_syncs_total")
+                .map_or(0, |(_, v)| v)
+        };
+        let before = listing();
+        let id = svc.upsert_entity(&[triple(0, 0)]).unwrap();
+        assert_eq!(hist("stage_delta_append_ns"), 1);
+        assert_eq!(hist("stage_delta_sync_ns"), 1);
+        assert_eq!(syncs(), 1);
+        svc.upsert_entity(&[triple(0, 1)]).unwrap();
+        svc.upsert_triples(id, &[triple(1, 2)]).unwrap();
+        assert_eq!(hist("stage_delta_append_ns"), 3);
+        assert_eq!(hist("stage_delta_sync_ns"), 3);
+        assert_eq!(syncs(), 3, "one sync per upsert");
+        assert_eq!(listing(), before, "no file created, renamed, or grown");
+    }
+
+    /// Telemetry does not perturb the durable live path: with it disabled
+    /// the answers and the log bytes are bitwise the enabled run's, and
+    /// exposition stays dark.
+    #[test]
+    fn live_log_with_disabled_telemetry_is_bitwise_identical() {
+        let run = |label: &str, telemetry: TelemetryConfig| {
+            let td = daakg_store::TestDir::new(label);
+            let svc = open_durable_live(td.path(), manual_live(), telemetry);
+            let a = svc.upsert_entity(&[triple(0, 0), triple(1, 2)]).unwrap();
+            svc.upsert_entity(&[triple(1, a)]).unwrap();
+            svc.upsert_triples(a, &[triple(0, 3)]).unwrap();
+            let answer = svc.query(0, QueryOptions::rank()).unwrap();
+            let logs: Vec<(String, Vec<u8>)> = delta::log_files(td.path())
+                .iter()
+                .map(|p| {
+                    let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(p).unwrap())
+                })
+                .collect();
+            let dark = svc.telemetry().registry().counters().is_empty()
+                && svc.telemetry().journal().events().is_empty();
+            (answer, logs, dark)
+        };
+        let (want, want_logs, _) = run("live-telem-on", TelemetryConfig::default());
+        let (got, got_logs, dark) = run("live-telem-off", TelemetryConfig::disabled());
+        assert_eq!(got.deltas_merged, 2);
+        assert_bitwise(&want.value, &got.value, "answers");
+        assert_eq!(want_logs, got_logs, "log files byte for byte");
+        assert!(dark, "disabled telemetry records nothing");
+    }
+
+    /// Log file creation, rolls, and retirements are journaled: enabling
+    /// live opens the first file, and a persisted fold rolls to a fresh
+    /// file and retires the folded one.
+    #[test]
+    fn live_log_roll_and_retire_are_journaled() {
+        use daakg_telemetry::EventKind as K;
+        let td = daakg_store::TestDir::new("live-log-journal");
+        let svc = open_durable_live(td.path(), manual_live(), TelemetryConfig::default());
+        let n2 = svc.kg2().num_entities() as u32;
+        svc.upsert_entity(&[triple(0, 0)]).unwrap();
+        svc.compact_now().unwrap().expect("one entry folds");
+        let log_events: Vec<_> = svc
+            .telemetry()
+            .journal()
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, K::DeltaLogRoll { .. } | K::DeltaLogRetire { .. }))
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            log_events,
+            vec![
+                K::DeltaLogRoll {
+                    lineage: 1,
+                    first_id: n2
+                },
+                K::DeltaLogRoll {
+                    lineage: 1,
+                    first_id: n2 + 1
+                },
+                K::DeltaLogRetire {
+                    lineage: 1,
+                    first_id: n2
+                },
+            ]
+        );
+        assert_eq!(delta::log_files(td.path()).len(), 1);
+    }
+
+    /// Delta logs extend the snapshot the store recovered. A training
+    /// publish before `enable_live` supersedes them: nothing replays onto
+    /// the retrained tables, and the old lineage's file is retired only
+    /// once a snapshot of the new lineage has persisted.
+    #[test]
+    fn live_enabled_after_a_retrain_replays_no_superseded_rows() {
+        let td = daakg_store::TestDir::new("live-enable-after-train");
+        {
+            let svc = open_durable_live(td.path(), manual_live(), TelemetryConfig::default());
+            svc.upsert_entity(&[triple(0, 0)]).unwrap();
+        }
+        let mut svc = AlignmentService::open(
+            tiny_cfg(),
+            ServingConfig::default(),
+            Arc::new(example_dbpedia()),
+            Arc::new(example_wikidata()),
+            td.path(),
+        )
+        .unwrap();
+        let labels = example_labels(&svc);
+        svc.train(&labels).unwrap();
+        svc.enable_live(manual_live()).unwrap();
+        assert_eq!(svc.live_recovery().unwrap().replayed, 0);
+        let post = svc.query(0, QueryOptions::rank()).unwrap();
+        assert_eq!(post.deltas_merged, 0, "no row warm-started on v1 tables");
+        assert_eq!(post.value.len(), svc.kg2().num_entities());
+        let names = || -> Vec<String> {
+            delta::log_files(td.path())
+                .iter()
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+                .collect()
+        };
+        let n2 = svc.kg2().num_entities() as u32;
+        assert_eq!(
+            names(),
+            vec![delta::log_name(1, n2), delta::log_name(2, n2)],
+            "the superseded lineage waits for a persisted successor"
+        );
+        svc.upsert_entity(&[triple(0, 1)]).unwrap();
+        svc.compact_now().unwrap().expect("one entry folds");
+        assert_eq!(names(), vec![delta::log_name(2, n2 + 1)]);
     }
 
     /// Slabs anchor to the snapshot *version*, so a publish that keeps

@@ -19,12 +19,15 @@ use std::sync::{Arc, OnceLock};
 /// Cached matrices of one alignment round.
 #[derive(Debug, Clone)]
 pub struct AlignmentSnapshot {
-    /// Encoded entities of `G` (`n₁ × d`).
-    pub ents1: Tensor,
+    /// Encoded entities of `G` (`n₁ × d`). Shared (`Arc`) with the
+    /// snapshots compaction folds from this one: a fold only appends
+    /// right-KG rows, so the left side never needs another copy.
+    pub ents1: Arc<Tensor>,
     /// Encoded entities of `G'` (`n₂ × d`).
     pub ents2: Tensor,
-    /// `ents1 · A_ent`: left entities transported into the right space.
-    pub mapped_ents1: Tensor,
+    /// `ents1 · A_ent`: left entities transported into the right space
+    /// (shared across folds like `ents1`).
+    pub mapped_ents1: Arc<Tensor>,
     /// Relation representations of `G` (base relations).
     pub rels1: Tensor,
     /// Relation representations of `G'`.
@@ -74,9 +77,9 @@ pub struct AlignmentSnapshot {
 /// ablation flags (the entity engine is derived, the index travels
 /// separately through [`AlignmentSnapshot::prime_index`]).
 pub(crate) struct SnapshotParts {
-    pub ents1: Tensor,
+    pub ents1: Arc<Tensor>,
     pub ents2: Tensor,
-    pub mapped_ents1: Tensor,
+    pub mapped_ents1: Arc<Tensor>,
     pub rels1: Tensor,
     pub rels2: Tensor,
     pub mapped_rels1: Tensor,
@@ -147,9 +150,9 @@ impl AlignmentSnapshot {
         let entity_engine = BatchedSimilarity::new(&mapped_ents1, &ents2);
 
         Self {
-            ents1,
+            ents1: Arc::new(ents1),
             ents2,
-            mapped_ents1,
+            mapped_ents1: Arc::new(mapped_ents1),
             rels1,
             rels2,
             mapped_rels1,
@@ -179,7 +182,15 @@ impl AlignmentSnapshot {
     /// bitwise-identical rankings. Shape inconsistencies return a reason
     /// string (the codec wraps it into a typed corruption error) instead
     /// of panicking.
-    pub(crate) fn from_parts(p: SnapshotParts) -> Result<Self, String> {
+    ///
+    /// `engine` builds the entity engine over the validated parts: the
+    /// decode path normalizes both sides ([`BatchedSimilarity::new`]); a
+    /// compaction fold shares its base snapshot's normalized queries
+    /// ([`BatchedSimilarity::with_candidates`]) — bitwise the same engine.
+    pub(crate) fn from_parts(
+        p: SnapshotParts,
+        engine: impl FnOnce(&SnapshotParts) -> BatchedSimilarity,
+    ) -> Result<Self, String> {
         if p.mapped_ents1.rows() != p.ents1.rows() {
             return Err(format!(
                 "mapped_ents1 holds {} rows but ents1 holds {}",
@@ -203,7 +214,7 @@ impl AlignmentSnapshot {
                 p.ents2.rows()
             ));
         }
-        let entity_engine = BatchedSimilarity::new(&p.mapped_ents1, &p.ents2);
+        let entity_engine = engine(&p);
         Ok(Self {
             ents1: p.ents1,
             ents2: p.ents2,

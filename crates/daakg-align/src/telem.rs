@@ -17,6 +17,7 @@
 //! | counter | `persist_retries_total` | transient-IO persist retries |
 //! | counter | `snapshot_publish_total` | snapshot publications (training + folds) |
 //! | counter | `compactions_total` | delta folds committed |
+//! | counter | `delta_log_syncs_total` | delta log `fdatasync`s (one per durable upsert) |
 //! | gauge | `ingress_queue_depth_max` | high-water mark of the pending queue |
 //! | gauge | `ingress_degrade_engaged` | 1 while the [`crate::DegradePolicy`] is engaged |
 //! | gauge | `durability_degraded` | 1 while the latest persist failed |
@@ -29,6 +30,8 @@
 //! | histogram | `stage_ivf_scan_ns` | IVF inverted-list scan |
 //! | histogram | `stage_delta_merge_ns` | live delta-slab merge into an answer |
 //! | histogram | `stage_warm_start_ns` | upsert warm-start fine-tune |
+//! | histogram | `stage_delta_append_ns` | delta log record encode + `pwrite` |
+//! | histogram | `stage_delta_sync_ns` | delta log `fdatasync` (the upsert ack) |
 //! | histogram | `stage_fold_ns` | compaction fold (snapshot build) |
 //! | histogram | `stage_republish_ns` | compaction compare-and-publish |
 //! | histogram | `stage_persist_ns` | full persist (retries included) |
@@ -56,6 +59,8 @@ pub(crate) struct ServiceTelemetry {
     pub search: SearchSpans,
     pub delta_merge: HistogramHandle,
     pub warm_start: HistogramHandle,
+    pub delta_append: HistogramHandle,
+    pub delta_sync: HistogramHandle,
     pub fold: HistogramHandle,
     pub republish: HistogramHandle,
     pub persist: HistogramHandle,
@@ -63,6 +68,7 @@ pub(crate) struct ServiceTelemetry {
     // Lifecycle counters.
     pub snapshot_publish: Counter,
     pub compactions: Counter,
+    pub delta_log_syncs: Counter,
     // Health cells (always live — see type docs).
     pub durability_degraded: Gauge,
     pub persist_failures: Counter,
@@ -87,6 +93,8 @@ impl ServiceTelemetry {
             },
             delta_merge: reg.histogram("stage_delta_merge_ns"),
             warm_start: reg.histogram("stage_warm_start_ns"),
+            delta_append: reg.histogram("stage_delta_append_ns"),
+            delta_sync: reg.histogram("stage_delta_sync_ns"),
             fold: reg.histogram("stage_fold_ns"),
             republish: reg.histogram("stage_republish_ns"),
             persist: reg.histogram("stage_persist_ns"),
@@ -96,6 +104,7 @@ impl ServiceTelemetry {
             },
             snapshot_publish: reg.counter("snapshot_publish_total"),
             compactions: reg.counter("compactions_total"),
+            delta_log_syncs: reg.counter("delta_log_syncs_total"),
             durability_degraded: health.gauge("durability_degraded"),
             persist_failures: health.counter("persist_failures_total"),
             persist_retries: health.counter("persist_retries_total"),

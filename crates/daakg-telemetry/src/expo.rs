@@ -126,6 +126,10 @@ fn push_event(out: &mut String, e: &Event) {
         EventKind::RetrainSupersede { version, dropped } => {
             out.push_str(&format!(",\"version\":{version},\"dropped\":{dropped}"));
         }
+        EventKind::DeltaLogRoll { lineage, first_id }
+        | EventKind::DeltaLogRetire { lineage, first_id } => {
+            out.push_str(&format!(",\"lineage\":{lineage},\"first_id\":{first_id}"));
+        }
         EventKind::QueryShed { depth }
         | EventKind::DegradeEngage { depth }
         | EventKind::DegradeRecover { depth } => {

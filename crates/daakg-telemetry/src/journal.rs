@@ -46,6 +46,20 @@ pub enum EventKind {
         /// How many delta entries were dropped.
         dropped: usize,
     },
+    /// The live delta log rolled to a freshly preallocated file.
+    DeltaLogRoll {
+        /// Training lineage (snapshot version) the file's rows extend.
+        lineage: u64,
+        /// First global right-entity id the file may hold.
+        first_id: u32,
+    },
+    /// A delta log file was retired behind a persisted snapshot.
+    DeltaLogRetire {
+        /// Training lineage of the retired file.
+        lineage: u64,
+        /// First global right-entity id of the retired file.
+        first_id: u32,
+    },
     /// Ingress shed a query at admission (queue at capacity).
     QueryShed {
         /// Queue depth observed at the shed decision.
@@ -89,6 +103,8 @@ impl EventKind {
             EventKind::FoldStart { .. } => "fold_start",
             EventKind::FoldDone { .. } => "fold_done",
             EventKind::RetrainSupersede { .. } => "retrain_supersede",
+            EventKind::DeltaLogRoll { .. } => "delta_log_roll",
+            EventKind::DeltaLogRetire { .. } => "delta_log_retire",
             EventKind::QueryShed { .. } => "query_shed",
             EventKind::DeadlineExpired => "deadline_expired",
             EventKind::DegradeEngage { .. } => "degrade_engage",

@@ -140,6 +140,8 @@
 //! | hand-rolled latency percentiles over `Vec<u64>` | [`Histogram`] (`record` / `merge` / `quantile`) |
 //! | `service.health()` polling for persist faults | still works — now a view over [`MetricsRegistry`]; rich detail via [`AlignmentService::telemetry`] |
 //! | scraping logs for lifecycle events | [`EventJournal`] ([`Telemetry::journal`], [`EventKind`]) |
+//! | `snapshot.ents1` / `snapshot.mapped_ents1` as `Tensor` | `Arc<Tensor>` (shared across compaction folds; reads deref unchanged, `Tensor::clone(&snapshot.ents1)` for an owned copy) |
+//! | per-upsert `d0000000042.dseg` segment files in a live store | one delta log (`l<lineage>-<first id>.dlog`); a store still holding a `.dseg` is refused at `enable_live` with a typed `Corrupt` naming it |
 //!
 //! Holding an `Arc<AlignmentSnapshot>` from [`AlignmentService::current`]
 //! pins that version for as long as needed — retraining never invalidates

@@ -247,10 +247,16 @@ impl PipelineBuilder {
     /// delta layer accepting [`AlignmentService::upsert_entity`] while
     /// serving, warm-start fine-tuned embeddings for the new rows, and a
     /// background compactor that folds pending deltas into the next
-    /// published snapshot. With [`PipelineBuilder::store`], delta
-    /// segments are persisted alongside snapshots so warm restarts
-    /// recover base + uncompacted deltas. Validation (`compact_after ≥
-    /// 1`, warm-start hyper-parameters) happens at build time.
+    /// published snapshot. With [`PipelineBuilder::store`], every upsert
+    /// is acknowledged only after its checksummed record is appended to
+    /// a preallocated delta log beside the snapshots and `fdatasync`ed
+    /// (no file create or rename per upsert), so warm restarts recover
+    /// base + uncompacted deltas; folds retire the log files they
+    /// supersede once the folded snapshot has persisted. A store still
+    /// holding an older release's per-upsert `.dseg` segment is refused
+    /// at build time with a typed error naming the file. Validation
+    /// (`compact_after ≥ 1`, warm-start hyper-parameters) happens at
+    /// build time.
     pub fn live(mut self, cfg: LiveConfig) -> Self {
         self.live = Some(cfg);
         self

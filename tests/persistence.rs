@@ -279,7 +279,7 @@ fn open_live(dir: &Path) -> AlignmentService {
         .index(3)
         .store(dir)
         // Quiet compactor: folds happen only via `compact_now`, so every
-        // kill below really does leave uncompacted segments on disk.
+        // kill below really does leave uncompacted log records on disk.
         .live(LiveConfig {
             compact_after: 100,
             tick: Duration::from_secs(3600),
@@ -297,11 +297,31 @@ fn dt(rel: u32, neighbor: u32) -> DeltaTriple {
     }
 }
 
+/// The delta log files (`*.dlog`) in `dir`.
+fn delta_logs(dir: &Path) -> Vec<std::path::PathBuf> {
+    let mut logs: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|d| d.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "dlog"))
+        .collect();
+    logs.sort();
+    logs
+}
+
+/// Where two images of one delta log differ: inside the record the later
+/// image appended (the earlier one holds preallocated zeros there).
+fn appended(before: &[u8], after: &[u8]) -> std::ops::Range<usize> {
+    let differs = |(a, b): (&u8, &u8)| a != b;
+    let start = before.iter().zip(after).position(differs).unwrap();
+    let end = before.iter().zip(after).rposition(differs).unwrap() + 1;
+    start..end
+}
+
 /// Chaos kill-and-restart with uncompacted deltas on disk: a process
-/// that dies with pending delta segments — even mid-segment-write —
+/// that dies with pending delta log records — even mid-append —
 /// restarts serving the same merged answers bitwise (last intact prefix,
 /// typed `Corrupt` for the torn tail), and folding the recovered prefix
-/// publishes a snapshot that answers identically with the segments
+/// publishes a snapshot that answers identically with the log files
 /// retired.
 #[test]
 fn kill_and_restart_with_uncompacted_deltas_recovers_and_folds_identically() {
@@ -309,17 +329,20 @@ fn kill_and_restart_with_uncompacted_deltas_recovers_and_folds_identically() {
     let n2 = example_wikidata().num_entities();
     // Process 1: train, accept three upserts (the third anchored on a
     // pending delta entity), then die without compacting.
-    let pre = {
+    let (pre, newest) = {
         let svc = open_live(td.path());
         svc.train(&LabeledMatches::new()).unwrap();
         let a = svc.upsert_entity(&[dt(0, 0), dt(1, 2)]).unwrap();
         assert_eq!(a as usize, n2);
         svc.upsert_entity(&[dt(0, 1)]).unwrap();
+        let log = delta_logs(td.path()).pop().unwrap();
+        let two = std::fs::read(&log).unwrap();
         svc.upsert_entity(&[dt(1, a)]).unwrap();
-        svc.query(0, QueryOptions::rank()).unwrap()
-    }; // drop = simulated kill with three uncompacted segments on disk
+        let newest = appended(&two, &std::fs::read(&log).unwrap());
+        (svc.query(0, QueryOptions::rank()).unwrap(), newest)
+    }; // drop = simulated kill with three uncompacted records on disk
     assert_eq!(pre.deltas_merged, 3);
-    // Restart 1: every segment replays and the warm-started merged
+    // Restart 1: every record replays and the warm-started merged
     // ranking is bitwise what the dead process served.
     {
         let svc = open_live(td.path());
@@ -332,11 +355,14 @@ fn kill_and_restart_with_uncompacted_deltas_recovers_and_folds_identically() {
             std::slice::from_ref(&post.value),
         );
     } // die again, still uncompacted
-      // Kill mid-segment-write: tear the newest segment in half. Replay
-      // must stop at the last intact prefix with a typed diagnostic.
-    let torn = td.path().join(format!("d{:010}.dseg", n2 as u32 + 2));
-    let bytes = std::fs::read(&torn).unwrap();
-    std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+      // Kill mid-append: tear the log inside the newest record. Replay
+      // must stop at the last intact prefix with a typed diagnostic. The
+      // restart rewrote the same records, so the newest one sits where the
+      // dead process appended it.
+    let logs = delta_logs(td.path());
+    assert_eq!(logs.len(), 1, "one live log file");
+    let bytes = std::fs::read(&logs[0]).unwrap();
+    std::fs::write(&logs[0], &bytes[..(newest.start + newest.end) / 2]).unwrap();
     let svc = open_live(td.path());
     let rec = svc.live_recovery().unwrap();
     assert_eq!(rec.replayed, 2, "only the intact prefix replays");
@@ -344,7 +370,7 @@ fn kill_and_restart_with_uncompacted_deltas_recovers_and_folds_identically() {
         rec.skipped
             .iter()
             .any(|(id, e)| *id == n2 as u32 + 2 && matches!(e, DaakgError::Corrupt { .. })),
-        "torn segment must surface as Corrupt: {:?}",
+        "torn record must surface as Corrupt: {:?}",
         rec.skipped
     );
     let merged = svc.query(0, QueryOptions::rank()).unwrap();
@@ -366,8 +392,8 @@ fn kill_and_restart_with_uncompacted_deltas_recovers_and_folds_identically() {
         std::slice::from_ref(&full_probe.value),
     );
     drop(svc);
-    // Restart after the fold: the segments are retired, nothing replays,
-    // and the published union snapshot is what serves.
+    // Restart after the fold: the folded records are retired, nothing
+    // replays, and the published union snapshot is what serves.
     let svc = open_live(td.path());
     let rec = svc.live_recovery().unwrap();
     assert_eq!((rec.replayed, rec.skipped.len()), (0, 0));
