@@ -229,6 +229,61 @@ impl JointModel {
         labels: &LabeledMatches,
     ) -> AlignmentSnapshot {
         // Phase 1: standalone embedding objectives for both KGs.
+        self.warm_up(kg1, kg2);
+
+        // Phase 2: alignment rounds.
+        let mut opt = Adam::with_lr(self.cfg.align_lr);
+        let mut rng = StdRng::seed_from_u64(self.cfg.embed.seed ^ 0xA11C);
+        for epoch in 0..self.cfg.align_epochs {
+            // Refresh weights + mined pairs a few times per run, not every
+            // epoch: snapshots cost a full encode of both KGs. Snapshots
+            // read whole tables, so pending lazy rows catch up first.
+            if epoch % 5 == 0 {
+                opt.flush(&mut self.store);
+                self.refresh_round_state(kg1, kg2);
+            }
+            self.alignment_step(kg2, labels, &mut opt, &mut rng, None);
+        }
+        opt.flush(&mut self.store);
+        self.refresh_round_state(kg1, kg2);
+        self.snapshot(kg1, kg2)
+    }
+
+    /// Phase 1 of [`JointModel::train`]: each KG's standalone embedding
+    /// objectives (`O_er`, Eq. 1; `O_ec`, Eq. 3).
+    ///
+    /// Neither KG's objectives read or write the other's parameters, so
+    /// the two warm-ups run concurrently under [`daakg_parallel::join`]:
+    /// the `g2.` parameters move into their own [`ParamStore`], each side
+    /// trains with its own [`Adam`], and the parameters move back. This is
+    /// bitwise the arithmetic of training KG1 then KG2 on one store with
+    /// one optimizer — Adam's moments and step count are per parameter,
+    /// its bias table is a pure function of the step, and the phase-1
+    /// optimizer is discarded afterwards — at any worker budget, because
+    /// the mini-batch shard count comes from
+    /// [`EmbedConfig::effective_threads`](daakg_embed::EmbedConfig::effective_threads),
+    /// not from the budget each side runs with.
+    fn warm_up(&mut self, kg1: &KnowledgeGraph, kg2: &KnowledgeGraph) {
+        let trainer =
+            EmbedTrainer::new(self.cfg.embed).expect("JointConfig validated at construction");
+        let lr = self.cfg.embed.lr;
+        let classes = self.cfg.use_class_embeddings;
+        let (model1, model2) = (self.model1.as_ref(), self.model2.as_ref());
+        let ec1 = classes.then_some(&self.ec1);
+        let ec2 = classes.then_some(&self.ec2);
+        let mut store2 = self.store.split_prefix("g2.");
+        let store1 = &mut self.store;
+        daakg_parallel::join(
+            || trainer.train(model1, ec1, kg1, store1, "g1.", &mut Adam::with_lr(lr)),
+            || trainer.train(model2, ec2, kg2, &mut store2, "g2.", &mut Adam::with_lr(lr)),
+        );
+        self.store.absorb(store2);
+    }
+
+    /// The warm-up as one sequential pass — one store, one optimizer, KG1
+    /// then KG2 — which [`JointModel::warm_up`] must reproduce bitwise.
+    #[cfg(test)]
+    fn warm_up_reference(&mut self, kg1: &KnowledgeGraph, kg2: &KnowledgeGraph) {
         let trainer =
             EmbedTrainer::new(self.cfg.embed).expect("JointConfig validated at construction");
         let mut opt = Adam::with_lr(self.cfg.embed.lr);
@@ -250,23 +305,6 @@ impl JointModel {
             "g2.",
             &mut opt,
         );
-
-        // Phase 2: alignment rounds.
-        let mut opt = Adam::with_lr(self.cfg.align_lr);
-        let mut rng = StdRng::seed_from_u64(self.cfg.embed.seed ^ 0xA11C);
-        for epoch in 0..self.cfg.align_epochs {
-            // Refresh weights + mined pairs a few times per run, not every
-            // epoch: snapshots cost a full encode of both KGs. Snapshots
-            // read whole tables, so pending lazy rows catch up first.
-            if epoch % 5 == 0 {
-                opt.flush(&mut self.store);
-                self.refresh_round_state(kg1, kg2);
-            }
-            self.alignment_step(kg2, labels, &mut opt, &mut rng, None);
-        }
-        opt.flush(&mut self.store);
-        self.refresh_round_state(kg1, kg2);
-        self.snapshot(kg1, kg2)
     }
 
     /// Run `epochs` alignment epochs over the labeled matches with a fresh
@@ -701,6 +739,70 @@ mod tests {
             labels.push(ElementPair::Class(l, r));
         }
         labels
+    }
+
+    /// A KG of `n` entities over four relations and three classes, with
+    /// enough triples per entity for several mini-batches.
+    fn typed_kg(name: &str, n: usize, stride: usize) -> KnowledgeGraph {
+        let mut b = KnowledgeGraph::builder(name);
+        for i in 0..n {
+            let (e, next, far) = (
+                format!("e{i}"),
+                format!("e{}", (i + 1) % n),
+                format!("e{}", (i * stride + 3) % n),
+            );
+            b.triple_by_name(&e, &format!("r{}", i % 4), &next);
+            b.triple_by_name(&e, &format!("r{}", (i / 4) % 4), &far);
+            b.typing_by_name(&e, &format!("C{}", i % 3));
+        }
+        b.build()
+    }
+
+    fn assert_stores_bitwise_eq(got: &ParamStore, want: &ParamStore, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: parameter count");
+        for ((gn, gt), (wn, wt)) in got.iter().zip(want.iter()) {
+            assert_eq!(gn, wn, "{what}: parameter names");
+            assert_eq!(gt.shape(), wt.shape(), "{what}: {gn} shape");
+            let bits = |t: &daakg_autograd::Tensor| -> Vec<u32> {
+                t.as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+            assert!(bits(gt) == bits(wt), "{what}: {gn} differs");
+        }
+    }
+
+    /// The concurrent warm-up (two stores, two optimizers, one `join`)
+    /// reproduces the sequential one-store, one-optimizer pass bit for
+    /// bit, for every model family, with class embeddings on, at every
+    /// shard count.
+    #[test]
+    fn warm_up_matches_the_sequential_reference_bitwise() {
+        use daakg_embed::ModelKind;
+        let (kg1, kg2) = (typed_kg("left", 70, 7), typed_kg("right", 52, 5));
+        for model in [ModelKind::TransE, ModelKind::RotatE, ModelKind::CompGcn] {
+            for threads in [0, 1, 2, 3] {
+                let mut cfg = tiny_cfg();
+                cfg.embed.model = model;
+                cfg.embed.threads = threads;
+                cfg.use_class_embeddings = true;
+                let what = format!("{model} threads={threads}");
+                let init = JointModel::new(cfg, &kg1, &kg2).unwrap();
+                let mut got = JointModel::new(cfg, &kg1, &kg2).unwrap();
+                let mut want = JointModel::new(cfg, &kg1, &kg2).unwrap();
+                got.warm_up(&kg1, &kg2);
+                want.warm_up_reference(&kg1, &kg2);
+                assert_stores_bitwise_eq(got.store(), want.store(), &what);
+                for prefix in ["g1.", "g2."] {
+                    let moved =
+                        got.store()
+                            .iter()
+                            .zip(init.store().iter())
+                            .any(|((n, a), (_, b))| {
+                                n.starts_with(prefix) && a.as_slice() != b.as_slice()
+                            });
+                    assert!(moved, "{what}: the {prefix} warm-up trained nothing");
+                }
+            }
+        }
     }
 
     #[test]

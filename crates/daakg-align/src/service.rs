@@ -1154,8 +1154,11 @@ impl AlignmentService {
     /// Queries keep running on the previous version until the publish.
     pub fn train(&self, labels: &LabeledMatches) -> Result<VersionedSnapshot, DaakgError> {
         let mut model = self.training_model(labels, &[])?;
-        let snap = self.prepare(model.train(&self.kg1, &self.kg2, labels));
-        self.publish_trained(snap)
+        let trained = {
+            let _span = self.telem().train.span();
+            model.train(&self.kg1, &self.kg2, labels)
+        };
+        self.publish_trained(self.prepare(trained))
     }
 
     /// Validate a training call's ids, then take the model lock. An
@@ -1251,9 +1254,11 @@ impl AlignmentService {
         accept: f32,
     ) -> Result<VersionedSnapshot, DaakgError> {
         let mut model = self.training_model(labels, inferred)?;
-        let snap = self
-            .prepare(model.fine_tune_with_inferred(&self.kg1, &self.kg2, labels, inferred, accept));
-        self.publish_trained(snap)
+        let tuned = {
+            let _span = self.telem().fine_tune.span();
+            model.fine_tune_with_inferred(&self.kg1, &self.kg2, labels, inferred, accept)
+        };
+        self.publish_trained(self.prepare(tuned))
     }
 
     // -----------------------------------------------------------------
@@ -3423,6 +3428,66 @@ mod tests {
         assert!(disabled.telemetry().registry().histograms().is_empty());
         assert!(disabled.telemetry().journal().events().is_empty());
         assert_eq!(disabled.health(), ServiceHealth::default());
+    }
+
+    /// Each training call records exactly one sample in its stage
+    /// histogram: `train` in `stage_train_ns`, every fine-tune flavour in
+    /// `stage_fine_tune_ns`.
+    #[test]
+    fn training_calls_record_one_train_or_fine_tune_sample_each() {
+        let svc = example_service();
+        let hist = |name: &str| {
+            svc.telemetry()
+                .registry()
+                .histograms()
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, h)| h.count())
+        };
+        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (0, 0));
+        let labels = example_labels(&svc);
+        svc.train(&labels).unwrap();
+        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (1, 0));
+        svc.fine_tune(&labels).unwrap();
+        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (1, 1));
+        svc.fine_tune_with_inferred(&labels, &[(1, 1, 0.9)], 0.5)
+            .unwrap();
+        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (1, 2));
+        svc.train(&labels).unwrap();
+        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (2, 2));
+    }
+
+    /// The training spans do not perturb training: a service with
+    /// telemetry disabled trains and fine-tunes to bitwise the enabled
+    /// service's snapshots, and records nothing.
+    #[test]
+    fn disabled_telemetry_trains_bitwise_identical_snapshots() {
+        let enabled = example_service();
+        let disabled = AlignmentService::with_serving(
+            tiny_cfg(),
+            ServingConfig {
+                telemetry: TelemetryConfig::disabled(),
+                ..ServingConfig::default()
+            },
+            Arc::new(example_dbpedia()),
+            Arc::new(example_wikidata()),
+        )
+        .unwrap();
+        let labels = example_labels(&enabled);
+        let (want, got) = (
+            enabled.train(&labels).unwrap(),
+            disabled.train(&labels).unwrap(),
+        );
+        assert!(want.snapshot.bitwise_eq(&got.snapshot), "train");
+        let inferred = [(1, 1, 0.9)];
+        let want = enabled
+            .fine_tune_with_inferred(&labels, &inferred, 0.5)
+            .unwrap();
+        let got = disabled
+            .fine_tune_with_inferred(&labels, &inferred, 0.5)
+            .unwrap();
+        assert!(want.snapshot.bitwise_eq(&got.snapshot), "fine-tune");
+        assert!(disabled.telemetry().registry().histograms().is_empty());
     }
 
     /// Health stays live with telemetry disabled: a failing disk is

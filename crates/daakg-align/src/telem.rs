@@ -29,6 +29,8 @@
 //! | histogram | `stage_ivf_probe_ns` | IVF centroid probe |
 //! | histogram | `stage_ivf_scan_ns` | IVF inverted-list scan |
 //! | histogram | `stage_delta_merge_ns` | live delta-slab merge into an answer |
+//! | histogram | `stage_train_ns` | full training: warm-up plus alignment rounds |
+//! | histogram | `stage_fine_tune_ns` | active-learning focal fine-tune |
 //! | histogram | `stage_warm_start_ns` | upsert warm-start fine-tune |
 //! | histogram | `stage_delta_append_ns` | delta log record encode + `pwrite` |
 //! | histogram | `stage_delta_sync_ns` | delta log `fdatasync` (the upsert ack) |
@@ -58,6 +60,8 @@ pub(crate) struct ServiceTelemetry {
     pub exact_scan: HistogramHandle,
     pub search: SearchSpans,
     pub delta_merge: HistogramHandle,
+    pub train: HistogramHandle,
+    pub fine_tune: HistogramHandle,
     pub warm_start: HistogramHandle,
     pub delta_append: HistogramHandle,
     pub delta_sync: HistogramHandle,
@@ -92,6 +96,8 @@ impl ServiceTelemetry {
                 scan: reg.histogram("stage_ivf_scan_ns"),
             },
             delta_merge: reg.histogram("stage_delta_merge_ns"),
+            train: reg.histogram("stage_train_ns"),
+            fine_tune: reg.histogram("stage_fine_tune_ns"),
             warm_start: reg.histogram("stage_warm_start_ns"),
             delta_append: reg.histogram("stage_delta_append_ns"),
             delta_sync: reg.histogram("stage_delta_sync_ns"),

@@ -69,6 +69,23 @@ impl ParamStore {
     pub fn num_scalars(&self) -> usize {
         self.params.values().map(Tensor::len).sum()
     }
+
+    /// Move every parameter whose name starts with `prefix` into a new
+    /// store, copying no tensor — so two trainers can own disjoint parts
+    /// of one model at once. [`ParamStore::absorb`] moves them back.
+    pub fn split_prefix(&mut self, prefix: &str) -> ParamStore {
+        let (moved, kept) = std::mem::take(&mut self.params)
+            .into_iter()
+            .partition(|(name, _)| name.starts_with(prefix));
+        self.params = kept;
+        ParamStore { params: moved }
+    }
+
+    /// Move every parameter of `other` into this store, replacing any of
+    /// the same name.
+    pub fn absorb(&mut self, other: ParamStore) {
+        self.params.extend(other.params);
+    }
 }
 
 /// Sorted, deduplicated union of index slices — the set of parameter rows

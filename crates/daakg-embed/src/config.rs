@@ -10,11 +10,15 @@ pub enum TrainMode {
     /// tables bound as leaves, dense gradients, dense Adam. This is the
     /// verification oracle the sparse path is checked against.
     Dense,
-    /// The fast path: batches shard across scoped threads, each shard
-    /// builds its own tape over shared read-only parameters via external
-    /// gathers, shard gradients merge as sparse row-maps, and Adam applies
-    /// lazy per-row updates with deferred decay. Numerically equivalent to
-    /// [`TrainMode::Dense`] up to floating-point reassociation.
+    /// The fast path: batches split into
+    /// [`EmbedConfig::effective_threads`] shards, which the calling
+    /// thread's `daakg-parallel` worker budget runs (in line at a budget
+    /// of 1); each shard builds its own tape over shared read-only
+    /// parameters via external gathers, shard gradients merge as sparse
+    /// row-maps, and Adam applies lazy per-row updates with deferred
+    /// decay. Numerically equivalent to [`TrainMode::Dense`] up to
+    /// floating-point reassociation, and bitwise independent of the
+    /// budget.
     #[default]
     Sparse,
 }
@@ -51,8 +55,13 @@ pub struct EmbedConfig {
     /// oracle). Sampling is identical in both modes, so the loss
     /// trajectories agree up to floating-point reassociation.
     pub mode: TrainMode,
-    /// Worker threads for sharded gradient computation; `0` defers to
+    /// Shard count for sharded gradient computation; `0` defers to
     /// [`daakg_parallel::num_threads`]. Ignored in [`TrainMode::Dense`].
+    ///
+    /// The shard count fixes the bits of training. How many threads run
+    /// the shards follows the calling thread's `daakg-parallel` worker
+    /// budget, so the same count trains bitwise the same parameters
+    /// whether its shards run in parallel or in line.
     pub threads: usize,
 }
 

@@ -10,14 +10,22 @@
 //!
 //! * **Dense** — the retained verification oracle: one tape per batch with
 //!   full parameter tables as leaves, dense gradients, dense Adam.
-//! * **Sparse** — the fast path: each batch shards across scoped threads,
-//!   every shard builds its own tape over the shared read-only store via
-//!   external gathers ([`TapeSession::gather_param`]), shard gradients
-//!   merge as sparse row-maps, and one lazy sparse Adam step applies them.
+//! * **Sparse** — the fast path: each batch splits into
+//!   [`EmbedConfig::effective_threads`] shards, every shard builds its own
+//!   tape over the shared read-only store via external gathers
+//!   ([`TapeSession::gather_param`]), shard gradients merge as sparse
+//!   row-maps in shard order, and one lazy sparse Adam step applies them.
 //!   Rows a batch will read are refreshed first
 //!   ([`Adam::refresh_rows`]), and the store is flushed at the end of
 //!   training, so the trajectory matches the dense oracle up to
 //!   floating-point reassociation.
+//!
+//! The shard count fixes the bits; how many threads run the shards is the
+//! calling thread's `daakg-parallel` worker budget. A trainer called
+//! from one side of [`daakg_parallel::join`] (as the joint model's
+//! concurrent two-KG warm-up does) gets half the budget — at two workers,
+//! one — and then runs its shards in line on its own thread, spawning
+//! nothing per batch, with the same result as on a full budget.
 
 use crate::config::{EmbedConfig, TrainMode};
 use crate::entity_class::EntityClassModel;
@@ -189,8 +197,8 @@ impl EmbedTrainer {
         loss_val
     }
 
-    /// The sparse/parallel fast path: the batch shards across scoped
-    /// threads, each shard scores its slice through external gathers over
+    /// The sparse/parallel fast path: the batch shards across the worker
+    /// budget, each shard scores its slice through external gathers over
     /// the shared read-only store, shard gradients merge, and one (lazy)
     /// optimizer step applies them.
     fn er_step_sparse(

@@ -14,7 +14,8 @@
 //!        └───────┬─────────┘
 //!           daakg-autograd        (tensors, blocked parallel matmul, tape)
 //!                 │
-//!          daakg-parallel         (std::thread::scope data parallelism)
+//!          daakg-parallel         (fork-join on std::thread::scope under a
+//!                                  per-thread worker budget)
 //!
 //!   daakg-infer   (functionality-weighted match propagation, inference power)
 //!        │

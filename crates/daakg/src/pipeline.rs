@@ -153,7 +153,12 @@ impl PipelineBuilder {
         self
     }
 
-    /// Worker threads for sharded training (0 = auto).
+    /// Shard count for sharded training (0 = auto, i.e.
+    /// [`daakg_parallel::num_threads`]). The shard count fixes the bits of
+    /// the trained model; execution width follows the `daakg-parallel`
+    /// worker budget, so the same count trains the same model whether its
+    /// shards run in parallel or in line (as they do inside the two KGs'
+    /// concurrent warm-ups at two workers).
     pub fn threads(mut self, threads: usize) -> Self {
         self.joint.embed.threads = threads;
         self
