@@ -19,6 +19,8 @@
 //!   [`AlignmentService`](daakg_align::AlignmentService) so each round's
 //!   retrain publishes a fresh snapshot version to concurrent readers.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod oracle;
 pub mod select;

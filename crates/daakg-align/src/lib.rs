@@ -25,9 +25,9 @@
 //! * [`joint`] — [`JointModel`], the orchestrating type whose
 //!   `train`/`fine_tune` drive the whole module,
 //! * [`service`] — [`AlignmentService`], the concurrent serve-while-train
-//!   layer: an atomic-swap registry of immutable, versioned snapshots;
-//!   queries run lock-free on whatever version they grab while training
-//!   publishes new versions. With a [`ServingConfig`] index, each
+//!   layer: a registry of immutable, versioned snapshots behind one
+//!   short-held lock; queries run on whatever version they grab while
+//!   training publishes new versions. With a [`ServingConfig`] index, each
 //!   publication carries a lazily-built `daakg_index::IvfIndex` and
 //!   queries can run in sublinear [`QueryMode::Approx`],
 //! * [`persist`] — crash-safe durability: the checksummed snapshot codec
@@ -53,6 +53,8 @@
 //!   segments so durable services warm-restart with base + uncompacted
 //!   deltas. Delta-merged answers are bitwise-equal to an exact scan
 //!   over the union corpus.
+
+#![forbid(unsafe_code)]
 
 pub mod batched;
 pub mod calibrate;

@@ -13,16 +13,18 @@
 //!   immutable [`Arc<AlignmentSnapshot>`] stamped with a monotonically
 //!   increasing [`SnapshotVersion`];
 //! * query methods ([`AlignmentService::rank`], [`AlignmentService::top_k`],
-//!   [`AlignmentService::batch_top_k`]) grab the current publication with
-//!   one atomic pointer load — no lock, no waiting on writers — and run on
-//!   that version for their whole duration. Every answer carries the
-//!   version it was computed on ([`Versioned`]), so callers can reason
-//!   about staleness and verify results against the exact snapshot that
-//!   produced them ([`AlignmentService::snapshot_at`]).
+//!   [`AlignmentService::batch_top_k`]) grab the current publication —
+//!   one short registry lock and one `Arc` clone — and run on that
+//!   version for their whole duration without holding any lock. Every
+//!   answer carries the version it was computed on ([`Versioned`]), so
+//!   callers can reason about staleness and verify results against the
+//!   exact snapshot that produced them ([`AlignmentService::snapshot_at`]).
 //!
-//! Readers never block writers and writers never block readers: a reader
-//! that grabbed version `v` keeps using it while version `v+1` is being
-//! trained and published.
+//! Readers never wait on training: the registry lock guards only the
+//! list of publications, and a reader that grabbed version `v` keeps
+//! using it while version `v+1` is being trained and published — even
+//! after `v` is pruned from the history, since the reader's `Arc` keeps
+//! it alive.
 //!
 //! With a [`ServingConfig`] carrying an IVF configuration, every
 //! publication is additionally stamped with it, so each version owns a
@@ -58,7 +60,7 @@ use daakg_index::{IvfConfig, QueryMode, QueryOptions};
 use daakg_telemetry::{EventKind, Telemetry, TelemetryConfig};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serving-side configuration of an [`AlignmentService`]: whether
@@ -310,85 +312,59 @@ struct LiveState {
     recovery: Option<DeltaRecovery>,
 }
 
-/// The versioned snapshot registry: atomic-swap publication, lock-free
-/// reads, retained history.
+/// The versioned snapshot registry: serialized publication, retained
+/// history, exact pruning.
 ///
-/// # How the lock-free read works
+/// One mutex guards the ordered history of publications; its newest
+/// entry is the current version. Every operation holds the lock only to
+/// read or edit that short list: [`SnapshotRegistry::current`] clones one
+/// `Arc` and unlocks, so readers never wait on training or on a
+/// snapshot's destruction. Each entry is an `Arc`, so a reader that still
+/// holds a pruned version keeps it alive until it lets go, and pruning is
+/// exact — it never waits on readers.
 ///
-/// `current` holds a raw pointer to a heap-allocated [`VersionedSnapshot`]
-/// entry owned by `history`. Entries are freed only by [`SnapshotRegistry::prune`]
-/// (`&mut self`, so no reader can be mid-dereference), by `Drop`, or by
-/// [`SnapshotRegistry::prune_shared`] — which first detaches entries from
-/// `history` and then waits until the reader counter proves no thread is
-/// inside the load→clone critical section. A reader does one `SeqCst`
-/// counter increment, one `SeqCst` pointer load, the dereference + `Arc`
-/// clone, and a decrement — never a lock — and the classic hard part of
-/// lock-free pointer swapping (a writer freeing the entry between the
-/// reader's load and its dereference) is excluded by that quiescence
-/// protocol.
-///
-/// Publishers serialize on the `history` mutex, which also makes version
-/// assignment and the `current` store one atomic unit: `current` always
-/// carries the highest version, and versions are dense and monotone even
-/// under concurrent publishes.
+/// Publishers assign versions under the same lock, so versions are dense
+/// and monotone even under concurrent publishes, and the current entry
+/// always carries the highest one.
 ///
 /// # Reclamation
 ///
 /// Publications are retained so [`SnapshotRegistry::get`] (and thus
-/// per-version oracle verification of live query traffic) works. Three
-/// reclamation paths bound the memory:
+/// per-version oracle verification of live query traffic) works. Two
+/// calls bound the memory, both through `&self`:
 ///
 /// * [`SnapshotRegistry::set_retention`] — an at-publish policy: each
-///   publish best-effort frees everything but the newest `keep` versions;
-/// * [`SnapshotRegistry::prune_shared`] — the same best-effort shared
-///   reclamation on demand (`&self`, usable through `Arc`): stale entries
-///   are detached under the mutex, then freed once the reader counter
-///   proves no thread is inside the load→clone critical section
-///   (quiescence; bounded wait, re-attaches and reports 0 on timeout);
-/// * [`SnapshotRegistry::prune`] — the unconditional `&mut self` path.
+///   publish keeps only the newest `keep` versions;
+/// * [`SnapshotRegistry::prune`] — the same cut on demand.
+///
+/// Pruned entries are dropped after the lock is released, so freeing a
+/// snapshot's tensors never stalls a reader.
 pub struct SnapshotRegistry {
-    /// Always points at the entry of the latest publication (never null —
-    /// construction publishes version 1).
-    current: AtomicPtr<VersionedSnapshot>,
-    /// Every publication, in version order. The registry owns these
-    /// allocations (created with `Box::into_raw`, freed with
-    /// `Box::from_raw` in `prune`/`Drop`); raw ownership — instead of
-    /// `Vec<Box<_>>` — keeps every entry at a stable address that is never
-    /// re-asserted as a unique `Box`, so the pointers handed to `current`
-    /// stay valid unconditionally.
-    history: Mutex<Vec<*mut VersionedSnapshot>>,
-    /// Readers currently between the `current` pointer load and the end of
-    /// the entry dereference — the only window in which a reader may hold
-    /// a raw pointer to an entry that is no longer the newest.
-    active_readers: AtomicUsize,
-    /// Publications to keep at publish time; 0 = retain everything.
+    /// Every retained publication, ascending by version; never empty.
+    /// Each update leaves the list valid, so a poisoned lock is recovered.
+    history: Mutex<Vec<VersionedSnapshot>>,
+    /// Publications to keep at publish time; `usize::MAX` = all of them.
     retention: AtomicUsize,
 }
 
-// SAFETY: the raw pointer in `current` always refers to an entry owned by
-// `history`; entries are immutable after publication (only `Arc::clone` and
-// field reads happen through the pointer), and are only freed (a) under
-// `&mut self` / `Drop`, which exclude other references, or (b) by
-// `prune_shared` after detaching them from `history` *and* observing the
-// reader counter at zero, which proves no thread still holds a raw pointer
-// into the detached set. All shared mutation goes through the atomics and
-// the mutex.
-unsafe impl Send for SnapshotRegistry {}
-unsafe impl Sync for SnapshotRegistry {}
+/// A history entry: `snapshot` published as `version`.
+fn entry(version: u64, snapshot: AlignmentSnapshot) -> VersionedSnapshot {
+    VersionedSnapshot {
+        version: SnapshotVersion(version),
+        snapshot: Arc::new(snapshot),
+    }
+}
+
+/// Detach all entries of `history` except the newest `keep` (at least one).
+fn cut(history: &mut Vec<VersionedSnapshot>, keep: usize) -> Vec<VersionedSnapshot> {
+    let keep = keep.max(1).min(history.len());
+    history.drain(..history.len() - keep).collect()
+}
 
 impl SnapshotRegistry {
     /// A registry whose first publication (version 1) is `initial`.
     pub fn new(initial: AlignmentSnapshot) -> Self {
-        let ptr = Box::into_raw(Box::new(VersionedSnapshot {
-            version: SnapshotVersion(1),
-            snapshot: Arc::new(initial),
-        }));
-        Self {
-            current: AtomicPtr::new(ptr),
-            history: Mutex::new(vec![ptr]),
-            active_readers: AtomicUsize::new(0),
-            retention: AtomicUsize::new(0),
-        }
+        Self::from_entries(vec![(1, initial)])
     }
 
     /// A registry re-seeded from recovered `(version, snapshot)` pairs
@@ -398,34 +374,23 @@ impl SnapshotRegistry {
     /// so version numbering resumes monotonically across restarts even
     /// when corrupt intermediate versions were skipped.
     pub fn from_entries(entries: Vec<(u64, AlignmentSnapshot)>) -> Self {
-        assert!(!entries.is_empty(), "from_entries needs at least one entry");
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "entries must be ascending by version"
+        assert!(
+            !entries.is_empty() && entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "from_entries needs a non-empty history, ascending by version"
         );
-        let history: Vec<*mut VersionedSnapshot> = entries
-            .into_iter()
-            .map(|(version, snapshot)| {
-                Box::into_raw(Box::new(VersionedSnapshot {
-                    version: SnapshotVersion(version),
-                    snapshot: Arc::new(snapshot),
-                }))
-            })
-            .collect();
+        let history = entries.into_iter().map(|(v, s)| entry(v, s)).collect();
         Self {
-            current: AtomicPtr::new(*history.last().expect("checked non-empty")),
             history: Mutex::new(history),
-            active_readers: AtomicUsize::new(0),
-            retention: AtomicUsize::new(0),
+            retention: AtomicUsize::new(usize::MAX),
         }
     }
 
     /// Publish `snapshot` as the new current version and return its stamp.
     ///
-    /// Publishers serialize on an internal mutex; readers are never
-    /// blocked and observe the swap atomically. When a retention policy is
-    /// set ([`SnapshotRegistry::set_retention`]), older publications are
-    /// best-effort reclaimed afterwards.
+    /// Publishers serialize on the registry lock; readers observe the new
+    /// version atomically. When a retention policy is set
+    /// ([`SnapshotRegistry::set_retention`]), older publications are
+    /// pruned in the same step.
     pub fn publish(&self, snapshot: AlignmentSnapshot) -> SnapshotVersion {
         self.publish_pinned(snapshot).version
     }
@@ -435,33 +400,7 @@ impl SnapshotRegistry {
     /// (e.g. to keep training on it) use this instead of re-reading
     /// `current`, which a concurrent publisher may already have advanced.
     pub fn publish_pinned(&self, snapshot: AlignmentSnapshot) -> VersionedSnapshot {
-        let published = {
-            let mut history = self.history.lock().expect("registry mutex poisoned");
-            // SAFETY: entries in `history` stay allocated while `&self`
-            // exists.
-            let last = unsafe { (*history.last().expect("never empty")).as_ref() }
-                .expect("history pointers are non-null");
-            let version = SnapshotVersion(last.version.0 + 1);
-            let ptr = Box::into_raw(Box::new(VersionedSnapshot {
-                version,
-                snapshot: Arc::new(snapshot),
-            }));
-            history.push(ptr);
-            // SeqCst (not just Release) is load-bearing: `prune_shared`'s
-            // quiescence argument needs this store in the single SC total
-            // order, so a reader whose counter increment lands after the
-            // pruner's zero-observation is guaranteed to load THIS (or a
-            // newer) pointer rather than a stale, about-to-be-freed one.
-            // It also releases the entry contents to readers as usual.
-            self.current.store(ptr, Ordering::SeqCst);
-            // SAFETY: just allocated above; cloning under the mutex.
-            unsafe { (*ptr).clone() }
-        };
-        let keep = self.retention.load(Ordering::Relaxed);
-        if keep > 0 {
-            self.prune_shared(keep);
-        }
-        published
+        self.push(snapshot, None).expect("unconditional publish")
     }
 
     /// Publish `snapshot` only if the latest version is still `expected`
@@ -474,72 +413,46 @@ impl SnapshotRegistry {
         snapshot: AlignmentSnapshot,
         expected: SnapshotVersion,
     ) -> Option<VersionedSnapshot> {
-        let published = {
-            let mut history = self.history.lock().expect("registry mutex poisoned");
-            // SAFETY: entries in `history` stay allocated while `&self`
-            // exists.
-            let last = unsafe { (*history.last().expect("never empty")).as_ref() }
-                .expect("history pointers are non-null");
-            if last.version != expected {
-                return None;
-            }
-            let version = SnapshotVersion(last.version.0 + 1);
-            let ptr = Box::into_raw(Box::new(VersionedSnapshot {
-                version,
-                snapshot: Arc::new(snapshot),
-            }));
-            history.push(ptr);
-            // SeqCst: same quiescence argument as `publish_pinned`.
-            self.current.store(ptr, Ordering::SeqCst);
-            // SAFETY: just allocated above; cloning under the mutex.
-            unsafe { (*ptr).clone() }
-        };
-        let keep = self.retention.load(Ordering::Relaxed);
-        if keep > 0 {
-            self.prune_shared(keep);
+        self.push(snapshot, Some(expected))
+    }
+
+    /// The one publish path: under the lock, check `expected`, assign the
+    /// next version, append, and apply retention; drop the pruned entries
+    /// after unlocking.
+    fn push(
+        &self,
+        snapshot: AlignmentSnapshot,
+        expected: Option<SnapshotVersion>,
+    ) -> Option<VersionedSnapshot> {
+        let mut history = lock_recover(&self.history);
+        let latest = history.last().expect("history is never empty").version;
+        if expected.is_some_and(|v| v != latest) {
+            return None;
         }
+        let published = entry(latest.0 + 1, snapshot);
+        history.push(published.clone());
+        let pruned = cut(&mut history, self.retention.load(Ordering::Relaxed));
+        drop(history);
+        drop(pruned);
         Some(published)
     }
 
-    /// The latest publication — one atomic load plus one `Arc` clone; never
-    /// blocks, even while a publish is in flight.
+    /// The latest publication — one short lock and one `Arc` clone.
     pub fn current(&self) -> VersionedSnapshot {
-        // SeqCst on the counter updates and the pointer load orders this
-        // critical section against `prune_shared`'s detach-then-observe
-        // protocol (see there).
-        self.active_readers.fetch_add(1, Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: `ptr` was stored by `new`/`publish`. Either the entry is
-        // still in `history` (not freed while `&self` exists), or a
-        // concurrent `prune_shared` detached it — in which case it frees
-        // the entry only after observing `active_readers == 0`, which
-        // cannot happen before the decrement below.
-        let out = unsafe { (*ptr).clone() };
-        self.active_readers.fetch_sub(1, Ordering::SeqCst);
-        out
+        let history = lock_recover(&self.history);
+        history.last().expect("history is never empty").clone()
     }
 
     /// The latest published version.
     pub fn version(&self) -> SnapshotVersion {
-        self.active_readers.fetch_add(1, Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: as in `current`.
-        let version = unsafe { (*ptr).version };
-        self.active_readers.fetch_sub(1, Ordering::SeqCst);
-        version
+        self.current().version
     }
 
     /// A specific retained publication, if it has not been pruned.
     pub fn get(&self, version: SnapshotVersion) -> Option<VersionedSnapshot> {
-        let history = self.history.lock().expect("registry mutex poisoned");
-        // History is sorted by version (publishes serialize on the mutex),
-        // so binary search is correct both before and after pruning.
-        // SAFETY: entries stay allocated while `&self` exists.
-        let idx = history
-            .binary_search_by_key(&version, |&p| unsafe { (*p).version })
-            .ok()?;
-        // SAFETY: entry still attached to `history`, cloned under the mutex.
-        Some(unsafe { (*history[idx]).clone() })
+        let history = lock_recover(&self.history);
+        let idx = history.binary_search_by_key(&version, |e| e.version).ok()?;
+        Some(history[idx].clone())
     }
 
     /// [`SnapshotRegistry::get`] with a typed diagnosis instead of
@@ -547,125 +460,39 @@ impl SnapshotRegistry {
     /// pruned out of retention (or skipped as corrupt during recovery),
     /// while a version above the latest (or 0) was never published.
     pub fn get_checked(&self, version: SnapshotVersion) -> Result<VersionedSnapshot, DaakgError> {
-        match self.get(version) {
-            Some(v) => Ok(v),
-            None => {
-                let latest = self.version().0;
-                Err(DaakgError::UnknownVersion {
-                    requested: version.0,
-                    latest,
-                    pruned: version.0 >= 1 && version.0 <= latest,
-                })
+        self.get(version).ok_or_else(|| {
+            let latest = self.version().0;
+            DaakgError::UnknownVersion {
+                requested: version.0,
+                latest,
+                pruned: (1..=latest).contains(&version.0),
             }
-        }
+        })
     }
 
     /// Number of retained publications.
     pub fn retained(&self) -> usize {
-        self.history.lock().expect("registry mutex poisoned").len()
+        lock_recover(&self.history).len()
     }
 
     /// Set the at-publish retention policy: after each publish, keep only
     /// the newest `keep` publications (0 restores unbounded retention).
-    /// Reclamation is the best-effort [`SnapshotRegistry::prune_shared`].
     pub fn set_retention(&self, keep: usize) {
+        let keep = if keep == 0 { usize::MAX } else { keep };
         self.retention.store(keep, Ordering::Relaxed);
     }
 
-    /// Best-effort shared reclamation: drop all publications except the
-    /// newest `keep` (at least the current one is always kept) without
-    /// requiring exclusive access. Returns how many entries were freed.
-    ///
-    /// The protocol: stale entries are *detached* from `history` under the
-    /// mutex (so `get`/`publish` can no longer reach them and `current`
-    /// keeps pointing into the retained suffix), then freed once
-    /// `active_readers` is observed at zero. A reader that loaded the
-    /// `current` pointer before the newest publish is still inside its
-    /// load→clone critical section and keeps the counter nonzero; once the
-    /// counter hits zero every such reader has finished, and readers
-    /// entering afterwards can only observe the retained current entry. If
-    /// readers never quiesce within the bounded wait, the detached entries
-    /// are re-attached and 0 is returned — memory is reclaimed on a later
-    /// attempt instead of blocking the publisher indefinitely.
-    pub fn prune_shared(&self, keep: usize) -> usize {
-        let stale: Vec<*mut VersionedSnapshot> = {
-            let mut history = self.history.lock().expect("registry mutex poisoned");
-            let keep = keep.max(1).min(history.len());
-            let drop_until = history.len() - keep;
-            history.drain(..drop_until).collect()
-        };
-        if stale.is_empty() {
-            return 0;
-        }
-        // Quiescence wait: bounded so a stuck/descheduled reader can delay
-        // reclamation but never deadlock a publisher.
-        let mut spins = 0usize;
-        while self.active_readers.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-            spins += 1;
-            if spins > 10_000 {
-                let mut history = self.history.lock().expect("registry mutex poisoned");
-                // Re-attach at each entry's sorted position: a concurrent
-                // timed-out prune may already have re-attached a *newer*
-                // detached run, so front-insertion could leave `history`
-                // unsorted and break `get`'s binary search.
-                for p in stale {
-                    // SAFETY: detached entries are still allocated (owned
-                    // by this call until re-attached or freed).
-                    let v = unsafe { (*p).version };
-                    let idx = history.partition_point(|&q| unsafe { (*q).version } < v);
-                    history.insert(idx, p);
-                }
-                return 0;
-            }
-        }
-        let freed = stale.len();
-        for ptr in stale {
-            // SAFETY: detached from `history` (unreachable via `get` /
-            // `publish` / future `current` loads) and the zero reader
-            // count proves no in-flight reader still holds the raw
-            // pointer. Each pointer came from `Box::into_raw` and leaves
-            // the registry exactly once.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-        freed
-    }
-
     /// Drop all retained publications except the newest `keep` (at least
-    /// the current one is always kept).
-    ///
-    /// Requires `&mut self`: exclusive access proves no reader is between
-    /// its pointer load and dereference, so freeing old entries is
-    /// unconditionally sound (no quiescence wait needed).
-    pub fn prune(&mut self, keep: usize) {
-        let history = self.history.get_mut().expect("registry mutex poisoned");
-        let keep = keep.max(1).min(history.len());
-        for ptr in history.drain(..history.len() - keep) {
-            // SAFETY: `&mut self` excludes all readers; `ptr` came from
-            // `Box::into_raw` and is dropped exactly once (it leaves the
-            // vec here). `current` points at the last entry, which is
-            // always in the kept suffix.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-    }
-}
-
-impl Drop for SnapshotRegistry {
-    fn drop(&mut self) {
-        for ptr in self
-            .history
-            .get_mut()
-            .expect("registry mutex poisoned")
-            .drain(..)
-        {
-            // SAFETY: as in `prune` — exclusive access, single free.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
+    /// the current one is always kept) and return how many were dropped.
+    /// Readers holding a dropped version keep it alive through its `Arc`.
+    pub fn prune(&self, keep: usize) -> usize {
+        let pruned = cut(&mut lock_recover(&self.history), keep);
+        pruned.len()
     }
 }
 
 /// The concurrent alignment service: owns the KG pair and the
-/// [`JointModel`], serves lock-free versioned queries while training.
+/// [`JointModel`], serves versioned queries while training.
 ///
 /// The service is `Send + Sync`; share it across threads as
 /// `Arc<AlignmentService>` (or plain `&` borrows under
@@ -685,8 +512,8 @@ pub struct AlignmentService {
     /// enabled), which publishes folded snapshots through it.
     registry: Arc<SnapshotRegistry>,
     /// Index + default-mode configuration, fixed at construction; every
-    /// published snapshot is stamped with `serving.index` before the
-    /// atomic publish, so a version and its index travel together.
+    /// published snapshot is stamped with `serving.index` before it is
+    /// published, so a version and its index travel together.
     serving: ServingConfig,
     /// Durable store + durability-health counters, shared with the
     /// compactor so folded publications persist with the same retry /
@@ -916,8 +743,8 @@ impl AlignmentService {
         self.registry.version()
     }
 
-    /// The latest published snapshot with its version — the lock-free grab
-    /// every query method starts from. Hold the returned `Arc` to pin that
+    /// The latest published snapshot with its version — the grab every
+    /// query method starts from. Hold the returned `Arc` to pin that
     /// version for as long as needed.
     pub fn current(&self) -> VersionedSnapshot {
         self.registry.current()
@@ -945,17 +772,13 @@ impl AlignmentService {
         self.registry.retained()
     }
 
-    /// Drop all but the newest `keep` retained versions. With exclusive
-    /// registry access this is the unconditional free; when the registry
-    /// is shared with a live compactor thread it falls back to the
-    /// quiescence-protocol shared prune.
-    pub fn prune(&mut self, keep: usize) {
-        match Arc::get_mut(&mut self.registry) {
-            Some(registry) => registry.prune(keep),
-            None => {
-                self.registry.prune_shared(keep);
-            }
-        }
+    /// Drop all but the newest `keep` retained versions (at least the
+    /// current one is always kept) and return how many were dropped.
+    /// Works through a shared `Arc<AlignmentService>`, also while a
+    /// live compactor holds the registry; in-flight readers keep the
+    /// versions they grabbed.
+    pub fn prune(&self, keep: usize) -> usize {
+        self.registry.prune(keep)
     }
 
     /// [`AlignmentService::prune`] plus on-disk garbage collection: drop
@@ -963,20 +786,12 @@ impl AlignmentService {
     /// persisted files (each removed crash-safely; at least the newest
     /// on-disk version is always kept). Returns the versions whose files
     /// were deleted — empty for a non-durable service.
-    pub fn prune_with_store(&mut self, keep: usize) -> Result<Vec<u64>, DaakgError> {
+    pub fn prune_with_store(&self, keep: usize) -> Result<Vec<u64>, DaakgError> {
         self.prune(keep);
         match &self.durable.store {
             Some(store) => store.gc(keep),
             None => Ok(Vec::new()),
         }
-    }
-
-    /// Best-effort shared reclamation of all but the newest `keep`
-    /// versions — usable through a shared `Arc<AlignmentService>` (see
-    /// [`SnapshotRegistry::prune_shared`] for the quiescence protocol).
-    /// Returns how many versions were freed.
-    pub fn prune_shared(&self, keep: usize) -> usize {
-        self.registry.prune_shared(keep)
     }
 
     /// Bound retained history for a long-running shared service: after
@@ -1012,8 +827,8 @@ impl AlignmentService {
     /// exhaustive scan or an IVF probe (in `Approx` mode the ranking
     /// covers the candidates of the `nprobe` probed inverted lists — the
     /// unscanned tail is absent, not approximated, and `nprobe == nlist`
-    /// reproduces the exact answer). Runs lock-free on the version it
-    /// grabs.
+    /// reproduces the exact answer). Runs on the version it grabs,
+    /// holding no lock.
     pub fn query(&self, e1: u32, opts: QueryOptions) -> Result<Versioned<Ranking>, DaakgError> {
         self.check_query(e1)?;
         let nprobe = self.resolve_mode(opts.mode)?;
@@ -1124,8 +939,8 @@ impl AlignmentService {
     }
 
     /// Rank all right entities for `e1`, descending, on the current
-    /// version, in the service's default [`QueryMode`]. Runs lock-free on
-    /// the version it grabs.
+    /// version, in the service's default [`QueryMode`]. Runs on the
+    /// version it grabs, holding no lock.
     pub fn rank(&self, e1: u32) -> Result<Versioned<Vec<(u32, f32)>>, DaakgError> {
         self.query(e1, QueryOptions::rank().with_mode(self.serving.mode))
     }
@@ -1938,7 +1753,7 @@ mod tests {
 
     #[test]
     fn prune_keeps_newest_versions_only() {
-        let mut svc = example_service();
+        let svc = example_service();
         let labels = example_labels(&svc);
         for _ in 0..3 {
             svc.align_rounds(&labels, 1).unwrap();
@@ -2023,14 +1838,14 @@ mod tests {
         assert!(svc.snapshot_at(SnapshotVersion(5)).is_some());
         assert!(svc.snapshot_at(SnapshotVersion(1)).is_none());
         svc.rank(0).unwrap();
-        // Explicit on-demand shared prune.
-        assert_eq!(svc.prune_shared(1), 1);
+        // Explicit on-demand prune.
+        assert_eq!(svc.prune(1), 1);
         assert_eq!(svc.retained_versions(), 1);
     }
 
-    /// Stress the quiescence protocol: readers hammer `current()` while a
-    /// writer publishes with a tight retention policy; every grabbed
-    /// snapshot must stay fully usable and history stays bounded.
+    /// Readers hammer `current()` while a writer publishes with a tight
+    /// retention policy; every grabbed snapshot must stay fully usable
+    /// and history stays exactly at the retention bound.
     #[test]
     fn shared_pruning_never_invalidates_in_flight_readers() {
         let svc = example_service();
@@ -2068,16 +1883,83 @@ mod tests {
             }
         });
         assert_eq!(svc.version().get(), 7);
-        // Bounded: retention-2 plus at most a few transiently-skipped
-        // prunes (the quiescence wait is best-effort under live readers).
-        assert!(
-            svc.retained_versions() <= 4,
-            "history not bounded: {}",
-            svc.retained_versions()
-        );
+        // Exact: retention never waits on readers.
+        assert_eq!(svc.retained_versions(), 2);
         let before = svc.retained_versions();
-        assert_eq!(svc.prune_shared(1), before - 1);
+        assert_eq!(svc.prune(1), before - 1);
         assert_eq!(svc.retained_versions(), 1);
+    }
+
+    /// A live durable service shares its registry with the compactor
+    /// thread, so no caller has exclusive access to it. Under concurrent
+    /// readers, `prune(k)` and `prune_with_store(k)` still leave exactly
+    /// `k` versions in memory (and `k` files on disk), and every grabbed
+    /// snapshot stays usable.
+    #[test]
+    fn shared_prune_is_exact_on_a_live_durable_service_under_readers() {
+        let td = daakg_store::TestDir::new("svc-shared-prune");
+        let mut svc = AlignmentService::open(
+            tiny_cfg(),
+            ServingConfig::default(),
+            Arc::new(example_dbpedia()),
+            Arc::new(example_wikidata()),
+            td.path(),
+        )
+        .unwrap();
+        svc.enable_live(manual_live()).unwrap();
+        assert!(
+            Arc::strong_count(&svc.registry) > 1,
+            "the compactor must share the registry"
+        );
+        let svc = &svc;
+        let labels = example_labels(svc);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let mut readers = Vec::new();
+            for _ in 0..3 {
+                readers.push(scope.spawn(|| {
+                    let mut grabs = 0usize;
+                    loop {
+                        let done = stop.load(Ordering::Relaxed);
+                        let cur = svc.current();
+                        let top = cur.snapshot.top_k_entities(0, 2);
+                        assert_eq!(top.len(), 2);
+                        assert!(top[0].1 >= top[1].1);
+                        grabs += 1;
+                        if done {
+                            break;
+                        }
+                    }
+                    grabs
+                }));
+            }
+            for keep in [3, 2, 1] {
+                for _ in 0..2 {
+                    svc.align_rounds(&labels, 1).unwrap();
+                }
+                let before = svc.retained_versions();
+                assert_eq!(svc.prune(keep), before - keep);
+                assert_eq!(svc.retained_versions(), keep);
+                for _ in 0..2 {
+                    svc.align_rounds(&labels, 1).unwrap();
+                }
+                let latest = svc.version();
+                svc.prune_with_store(keep).unwrap();
+                assert_eq!(svc.retained_versions(), keep);
+                assert_eq!(svc.current().version, latest);
+                let on_disk = DurableRegistry::open(td.path())
+                    .unwrap()
+                    .versions()
+                    .unwrap();
+                assert_eq!(on_disk.len(), keep);
+                assert_eq!(*on_disk.last().unwrap(), latest.get());
+            }
+            stop.store(true, Ordering::Relaxed);
+            for r in readers {
+                assert!(r.join().unwrap() > 0);
+            }
+        });
+        assert_eq!(svc.version().get(), 13);
     }
 
     fn example_indexed_service() -> AlignmentService {
@@ -2242,7 +2124,7 @@ mod tests {
 
     #[test]
     fn snapshot_at_checked_diagnoses_pruned_vs_never_published() {
-        let mut svc = example_service();
+        let svc = example_service();
         let labels = example_labels(&svc);
         for _ in 0..3 {
             svc.align_rounds(&labels, 1).unwrap();
@@ -2387,7 +2269,7 @@ mod tests {
     #[test]
     fn prune_with_store_garbage_collects_snapshot_files() {
         let td = daakg_store::TestDir::new("svc-gc");
-        let mut svc = AlignmentService::open(
+        let svc = AlignmentService::open(
             tiny_cfg(),
             ServingConfig::default(),
             Arc::new(example_dbpedia()),
@@ -2405,7 +2287,7 @@ mod tests {
         let reg = DurableRegistry::open(td.path()).unwrap();
         assert_eq!(reg.versions().unwrap(), vec![3, 4]);
         // Non-durable services GC nothing but still prune memory.
-        let mut plain = example_service();
+        let plain = example_service();
         plain.align_rounds(&labels, 1).unwrap();
         assert_eq!(plain.prune_with_store(1).unwrap(), Vec::<u64>::new());
         assert_eq!(plain.retained_versions(), 1);

@@ -31,6 +31,8 @@
 //! Run the binary with `cargo run --release -p daakg-bench`; see the
 //! top-level README for how to interpret the output.
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod json;
 pub mod scenarios;

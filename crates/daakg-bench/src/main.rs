@@ -14,6 +14,8 @@
 //! regresses beyond the tolerance, so CI can gate on both correctness and
 //! performance of the fast paths.
 
+#![forbid(unsafe_code)]
+
 use daakg_bench::compare::compare_docs;
 use daakg_bench::json::JsonValue;
 use daakg_bench::scenarios::{results_to_json, run_all, BenchConfig};

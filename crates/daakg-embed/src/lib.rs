@@ -21,6 +21,8 @@
 //! shared FFNN), and [`trainer`] implements the margin losses of Eq. (1) and
 //! Eq. (3) with negative [`sampling`].
 
+#![forbid(unsafe_code)]
+
 pub mod compgcn;
 pub mod config;
 pub mod entity_class;

@@ -14,6 +14,8 @@
 //! * **Report helpers** ([`report`]): fixed-width text tables used by the
 //!   experiment binaries to print paper-style rows.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod matching;
 pub mod ranking;

@@ -21,6 +21,8 @@
 //! * the workspace-wide typed error, [`DaakgError`] — every fallible
 //!   public entry point across the DAAKG crates returns it.
 
+#![forbid(unsafe_code)]
+
 pub mod alignment;
 pub mod error;
 pub mod fxhash;

@@ -24,6 +24,8 @@
 //! [`closure_reference`](InferenceEngine::closure_reference) is the dense
 //! naive oracle the bench harness verifies it against.
 
+#![forbid(unsafe_code)]
+
 pub mod functionality;
 pub mod propagate;
 

@@ -36,6 +36,8 @@
 //! payload (re-raised with [`std::panic::resume_unwind`] once every
 //! worker has finished), and the caller's budget is restored on unwind.
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::resume_unwind;

@@ -46,7 +46,7 @@
 //!
 //! // Training publishes immutable, versioned snapshots...
 //! service.train(&daakg::LabeledMatches::new())?;
-//! // ...while queries run lock-free on whatever version they grab —
+//! // ...while queries run on whatever version they grab —
 //! // even while the next training round is in flight on another thread.
 //! let answer = service.top_k(0, 5)?;
 //! println!("top-5 computed on snapshot {}", answer.version);
@@ -143,6 +143,7 @@
 //! | scraping logs for lifecycle events | [`EventJournal`] ([`Telemetry::journal`], [`EventKind`]) |
 //! | `snapshot.ents1` / `snapshot.mapped_ents1` as `Tensor` | `Arc<Tensor>` (shared across compaction folds; reads deref unchanged, `Tensor::clone(&snapshot.ents1)` for an owned copy) |
 //! | per-upsert `d0000000042.dseg` segment files in a live store | one delta log (`l<lineage>-<first id>.dlog`); a store still holding a `.dseg` is refused at `enable_live` with a typed `Corrupt` naming it |
+//! | `service.prune_shared(k)` (**removed**) | `service.prune(k)` (`&self`, exact, returns the count freed; `prune_with_store(k)` also takes `&self` now) |
 //!
 //! Holding an `Arc<AlignmentSnapshot>` from [`AlignmentService::current`]
 //! pins that version for as long as needed — retraining never invalidates
@@ -152,6 +153,8 @@
 //! The `quickstart` example (repo `examples/quickstart.rs`) walks the whole
 //! path: build two KGs → `Pipeline` → train → versioned ranking → score
 //! with `daakg-eval` → run the active loop against a simulated oracle.
+
+#![forbid(unsafe_code)]
 
 pub mod pipeline;
 

@@ -25,7 +25,7 @@
 //!     .build()?;
 //! let labels = daakg::LabeledMatches::new();
 //! service.train(&labels)?;
-//! let top = service.top_k(0, 5)?; // lock-free, versioned, exact
+//! let top = service.top_k(0, 5)?; // versioned, exact
 //! let fast = service.query(0, QueryOptions::top_k(5).approx(4))?;
 //! println!("answered on snapshots {} / {}", top.version, fast.version);
 //! # Ok::<(), daakg::DaakgError>(())

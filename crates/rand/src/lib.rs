@@ -13,6 +13,8 @@
 //! this workspace depends on upstream byte-for-byte reproducibility, only
 //! on *seeded determinism within this codebase*.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Types that can seed themselves from a `u64` (subset of `rand`'s trait).
