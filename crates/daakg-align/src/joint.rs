@@ -19,18 +19,32 @@
 //! parallel scan of the snapshot's similarity engine
 //! ([`crate::batched::BatchedSimilarity::round_scan`]) instead of a naive
 //! `O(n²·d)` cosine sweep.
+//!
+//! With table models in [`TrainMode::Sparse`] (the default), neither hot
+//! loop builds a tape: the TransE warm-up runs `daakg-embed`'s closed-form
+//! `O_er` kernel, and each alignment step runs the closed forms of its
+//! softmax pair terms and `O_semi` (see [`crate::losses`]). Both train
+//! bit for bit what their tape constructions train; those are kept as
+//! test oracles. A [`TrainSpans`] bundle ([`JointModel::set_spans`])
+//! times the warm-up, each alignment step and each round-state refresh.
 
 use crate::config::JointConfig;
-use crate::losses::{semi_supervised_loss, softmax_pair_loss};
+use crate::losses::{
+    pair_term, semi_supervised_loss, semi_term, softmax_pair_loss, PairRows, PairScratch,
+};
 use crate::mapping::{init_mappings, map_names};
 use crate::semi::{mine_potential_matches, PotentialMatch};
 use crate::snapshot::AlignmentSnapshot;
 use crate::weights::EntityWeights;
-use daakg_autograd::{unique_rows, Adam, ParamStore, TapeSession, Var};
-use daakg_embed::{build_model, EmbedTrainer, EntityClassModel, KgEmbedding, TrainMode};
+use daakg_autograd::{Adam, Optimizer, ParamStore, SparseGrad, TapeSession, Tensor, Var};
+use daakg_embed::{
+    build_model, EmbedTrainer, EntityClassModel, KgEmbedding, TableParams, TrainMode,
+};
 use daakg_graph::{DaakgError, ElementPair, GoldAlignment, KnowledgeGraph};
+use daakg_telemetry::HistogramHandle;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Labeled matches driving the supervised alignment losses: positive
 /// element pairs per kind, stored as raw `(left, right)` indices.
@@ -144,6 +158,29 @@ pub struct JointModel {
     weights: EntityWeights,
     /// Potential matches mined in the latest round (for inspection).
     last_mined: Vec<PotentialMatch>,
+    spans: TrainSpans,
+    /// Scratch of the closed-form alignment step, reused across steps:
+    /// each table's sparse row-gradient map, cleared after its Adam step.
+    grads: HashMap<String, SparseGrad>,
+    pair_scratch: PairScratch,
+    /// Run the sparse alignment steps on the tape instead of the
+    /// closed-form kernel: the oracle the kernel is checked against.
+    #[cfg(test)]
+    tape_oracle: bool,
+}
+
+/// Per-stage timing handles for training: the embedding warm-up, each
+/// alignment step, and each round-state refresh (snapshot build, fused
+/// Eq. 6 / mining scan). Default handles are no-ops, so an unobserved
+/// model reads no clock.
+#[derive(Debug, Clone, Default)]
+pub struct TrainSpans {
+    /// One [`JointModel::train`] warm-up (both KGs' `O_er`/`O_ec`).
+    pub warm_up: HistogramHandle,
+    /// One alignment optimizer step.
+    pub align_step: HistogramHandle,
+    /// One refresh of the dangling weights and mined matches.
+    pub round_scan: HistogramHandle,
 }
 
 impl JointModel {
@@ -186,7 +223,17 @@ impl JointModel {
             store,
             weights,
             last_mined: Vec::new(),
+            spans: TrainSpans::default(),
+            grads: HashMap::new(),
+            pair_scratch: PairScratch::default(),
+            #[cfg(test)]
+            tape_oracle: false,
         })
+    }
+
+    /// Record the training stages into `spans` from now on.
+    pub fn set_spans(&mut self, spans: TrainSpans) {
+        self.spans = spans;
     }
 
     /// The configuration in use.
@@ -229,7 +276,10 @@ impl JointModel {
         labels: &LabeledMatches,
     ) -> AlignmentSnapshot {
         // Phase 1: standalone embedding objectives for both KGs.
-        self.warm_up(kg1, kg2);
+        {
+            let _span = self.spans.warm_up.span();
+            self.warm_up(kg1, kg2);
+        }
 
         // Phase 2: alignment rounds.
         let mut opt = Adam::with_lr(self.cfg.align_lr);
@@ -391,6 +441,7 @@ impl JointModel {
     /// (Eq. 6) and, when enabled, the mined potential matches (Eq. 10),
     /// both from one fused scan of the similarity matrix.
     fn refresh_round_state(&mut self, kg1: &KnowledgeGraph, kg2: &KnowledgeGraph) {
+        let _span = self.spans.round_scan.span();
         let scan = self.snapshot(kg1, kg2).entity_engine().round_scan();
         self.weights = scan.weights;
         self.last_mined = if self.cfg.use_semi_supervision {
@@ -414,17 +465,20 @@ impl JointModel {
     /// One optimizer step of the alignment objective: softmax pair losses
     /// for all labeled kinds plus the semi-supervised term.
     ///
-    /// Two constructions share identical sampling (all negatives are drawn
-    /// **before** the tape is built, so the RNG sequence matches across
-    /// modes):
+    /// Every negative is drawn first, so each construction below consumes
+    /// the RNG identically:
     ///
-    /// * **dense** (the retained oracle, also the fallback for encoder
-    ///   models without raw tables): map the *whole* left table through the
-    ///   mapping matrix, then gather pair rows — `O(n·d²)` per step;
-    /// * **sparse** ([`TrainMode::Sparse`] + table models): gather only the
-    ///   labeled/mined/negative rows via external gathers, map just those —
-    ///   `O(pairs·k·d²)` per step — and apply sparse row-updates to the
-    ///   embedding tables with lazy Adam.
+    /// * **closed-form kernel** ([`TrainMode::Sparse`] + table models):
+    ///   only the labeled/mined/negative rows are read, each pair's left
+    ///   row is mapped once — `O(pairs·d²)` per step — and
+    ///   [`pair_term`]/[`semi_term`] write the mapping gradients and the
+    ///   sparse table-row gradients directly for lazy Adam. The class term
+    ///   `O_ca` (small derived matrices, mapping gradient only) stays on a
+    ///   tape and its gradient joins the kernel's. The tape construction of
+    ///   the same step is kept as the test oracle and trains the same bits;
+    /// * **dense tape** ([`TrainMode::Dense`], and encoder models without
+    ///   raw tables): map the *whole* left table through the mapping
+    ///   matrix, then gather pair rows — `O(n·d²)` per step.
     fn alignment_step(
         &mut self,
         kg2: &KnowledgeGraph,
@@ -433,39 +487,8 @@ impl JointModel {
         rng: &mut StdRng,
         focal_gamma: Option<f32>,
     ) -> f32 {
-        let k = self.cfg.align_negatives;
-        let use_classes = self.cfg.use_class_embeddings
-            && !labels.classes.is_empty()
-            && self.ec1.num_classes() > 0;
-
-        // Presample every negative before building the tape.
-        let ent_rows = (!labels.entities.is_empty())
-            .then(|| PairRows::sample(&labels.entities, k, kg2.num_entities() as u32, rng));
-        let rel_rows = (!labels.relations.is_empty()).then(|| {
-            PairRows::sample(
-                &labels.relations,
-                k,
-                self.model2.num_base_relations() as u32,
-                rng,
-            )
-        });
-        let cls_rows = use_classes
-            .then(|| PairRows::sample(&labels.classes, k, self.ec2.num_classes() as u32, rng));
-
-        // Mined potential matches feeding the semi-supervised term.
-        let mut mined_l: Vec<u32> = Vec::new();
-        let mut mined_r: Vec<u32> = Vec::new();
-        let mut mined_soft: Vec<f32> = Vec::new();
-        if ent_rows.is_some() {
-            for m in &self.last_mined {
-                if let Some((l, r)) = m.pair.as_entity() {
-                    mined_l.push(l.raw());
-                    mined_r.push(r.raw());
-                    mined_soft.push(m.soft_label);
-                }
-            }
-        }
-
+        let _span = self.spans.align_step.span();
+        let rows = self.sample_step(kg2, labels, rng);
         let tables = if self.cfg.embed.mode == TrainMode::Sparse {
             self.model1
                 .table_params("g1.")
@@ -473,101 +496,265 @@ impl JointModel {
         } else {
             None
         };
+        let Some((tp1, tp2)) = tables else {
+            return self.dense_tape_step(&rows, opt, focal_gamma);
+        };
 
-        // Lazy sparse-Adam rows the tape will read must be current first.
-        if let Some((tp1, tp2)) = &tables {
-            if let Some(rows) = &ent_rows {
-                opt.refresh_rows(
-                    &mut self.store,
-                    &tp1.ent,
-                    &unique_rows(&[&rows.left_once, &mined_l]),
-                );
-                opt.refresh_rows(
-                    &mut self.store,
-                    &tp2.ent,
-                    &unique_rows(&[&rows.pos_rrows, &rows.neg_rrows, &mined_r]),
-                );
+        // Lazy sparse-Adam rows the step will read must be current first.
+        // A refreshed row is skipped on re-visit, so repeated ids need no
+        // dedup.
+        if let Some(er) = &rows.ent {
+            for ids in [&er.left_once, &rows.mined_l] {
+                opt.refresh_rows(&mut self.store, &tp1.ent, ids);
             }
-            if let Some(rows) = &rel_rows {
-                opt.refresh_rows(&mut self.store, &tp1.rel, &unique_rows(&[&rows.left_once]));
-                opt.refresh_rows(
-                    &mut self.store,
-                    &tp2.rel,
-                    &unique_rows(&[&rows.pos_rrows, &rows.neg_rrows]),
-                );
+            for ids in [&er.pos_rrows, &er.neg_rrows, &rows.mined_r] {
+                opt.refresh_rows(&mut self.store, &tp2.ent, ids);
             }
         }
+        if let Some(rr) = &rows.rel {
+            opt.refresh_rows(&mut self.store, &tp1.rel, &rr.left_once);
+            for ids in [&rr.pos_rrows, &rr.neg_rrows] {
+                opt.refresh_rows(&mut self.store, &tp2.rel, ids);
+            }
+        }
+        #[cfg(test)]
+        if self.tape_oracle {
+            return self.sparse_tape_step(&rows, &tp1, &tp2, opt, focal_gamma);
+        }
+        self.kernel_step(&rows, &tp1, &tp2, opt, focal_gamma)
+    }
 
+    /// Draw one step's rows: every kind's negatives, and the mined pairs
+    /// feeding the semi-supervised term.
+    fn sample_step(
+        &self,
+        kg2: &KnowledgeGraph,
+        labels: &LabeledMatches,
+        rng: &mut StdRng,
+    ) -> StepRows {
+        let k = self.cfg.align_negatives;
+        let use_classes = self.cfg.use_class_embeddings
+            && !labels.classes.is_empty()
+            && self.ec1.num_classes() > 0;
+        let ent = (!labels.entities.is_empty())
+            .then(|| PairRows::sample(&labels.entities, k, kg2.num_entities() as u32, rng));
+        let rel = (!labels.relations.is_empty()).then(|| {
+            PairRows::sample(
+                &labels.relations,
+                k,
+                self.model2.num_base_relations() as u32,
+                rng,
+            )
+        });
+        let cls = use_classes
+            .then(|| PairRows::sample(&labels.classes, k, self.ec2.num_classes() as u32, rng));
+        let mut rows = StepRows {
+            ent,
+            rel,
+            cls,
+            mined_l: Vec::new(),
+            mined_r: Vec::new(),
+            mined_soft: Vec::new(),
+        };
+        if rows.ent.is_some() {
+            for m in &self.last_mined {
+                if let Some((l, r)) = m.pair.as_entity() {
+                    rows.mined_l.push(l.raw());
+                    rows.mined_r.push(r.raw());
+                    rows.mined_soft.push(m.soft_label);
+                }
+            }
+        }
+        rows
+    }
+
+    /// The closed-form step over the embedding tables `tp1` (left) and
+    /// `tp2` (right); see [`JointModel::alignment_step`].
+    fn kernel_step(
+        &mut self,
+        rows: &StepRows,
+        tp1: &TableParams,
+        tp2: &TableParams,
+        opt: &mut Adam,
+        focal_gamma: Option<f32>,
+    ) -> f32 {
+        let mut losses = Vec::new();
+        let mut dense: Vec<(String, Tensor)> = Vec::new();
+        let mut sparse: Vec<(&str, SparseGrad)> = Vec::new();
+        let store = &self.store;
+        let kinds = [
+            (&rows.ent, &tp1.ent, &tp2.ent, map_names::A_ENT),
+            (&rows.rel, &tp1.rel, &tp2.rel, map_names::A_REL),
+        ];
+        for (pair_rows, left_name, right_name, map_name) in kinds {
+            let Some(pr) = pair_rows else {
+                continue;
+            };
+            let (left, right, a) = (
+                store.get(left_name),
+                store.get(right_name),
+                store.get(map_name),
+            );
+            let mut grad_map = |name: &str, t: &Tensor| {
+                let fresh = || SparseGrad::with_rows(t.cols(), t.rows());
+                self.grads.remove(name).unwrap_or_else(fresh)
+            };
+            let (mut left_grad, mut right_grad) =
+                (grad_map(left_name, left), grad_map(right_name, right));
+            let is_ent = map_name == map_names::A_ENT;
+            let semi = (is_ent && !rows.mined_l.is_empty()).then(|| {
+                semi_term(
+                    &rows.mined_l,
+                    &rows.mined_r,
+                    &rows.mined_soft,
+                    left,
+                    right,
+                    a,
+                    &mut left_grad,
+                    &mut right_grad,
+                )
+            });
+            let (loss, grad) = pair_term(
+                pr,
+                left,
+                right,
+                a,
+                focal_gamma,
+                &mut left_grad,
+                &mut right_grad,
+                &mut self.pair_scratch,
+            );
+            losses.push(loss);
+            let grad = match semi {
+                Some((semi_loss, mut semi_grad)) => {
+                    losses.push(semi_loss);
+                    semi_grad.add_assign(&grad);
+                    semi_grad
+                }
+                None => grad,
+            };
+            dense.push((map_name.to_owned(), grad));
+            sparse.push((left_name, left_grad));
+            sparse.push((right_name, right_grad));
+        }
+        if let Some(cr) = &rows.cls {
+            let mut s = TapeSession::new();
+            let loss = self.class_loss(&mut s, cr, focal_gamma);
+            losses.push(s.graph.value(loss).item());
+            s.backward(loss);
+            dense.extend(s.take_grads().dense);
+        }
+
+        let Some(total) = losses.into_iter().reduce(|acc, l| acc + l) else {
+            return 0.0;
+        };
+        for (name, grad) in &dense {
+            opt.step(&mut self.store, name, grad);
+        }
+        for (name, mut grad) in sparse {
+            opt.step_sparse(&mut self.store, name, &grad);
+            grad.clear();
+            self.grads.insert(name.to_owned(), grad);
+        }
+        total
+    }
+
+    /// The tape construction for dense mode and encoder models; see
+    /// [`JointModel::alignment_step`].
+    fn dense_tape_step(
+        &mut self,
+        rows: &StepRows,
+        opt: &mut Adam,
+        focal_gamma: Option<f32>,
+    ) -> f32 {
         let mut s = TapeSession::new();
         let mut losses: Vec<Var> = Vec::new();
 
         // --- entity alignment O_ea (Eq. 5) ---
-        if let Some(rows) = &ent_rows {
+        if let Some(er) = &rows.ent {
             let a_ent = s.param(&self.store, map_names::A_ENT);
-            match &tables {
-                Some((tp1, tp2)) => {
-                    let (pos, neg) =
-                        rows.sparse_sims(&mut s, &self.store, &tp1.ent, &tp2.ent, a_ent);
-                    losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
+            let ents1 = self.model1.encode_entities(&mut s, &self.store, "g1.");
+            let ents2 = self.model2.encode_entities(&mut s, &self.store, "g2.");
+            let mapped = s.graph.matmul(ents1, a_ent);
+            let (pos, neg) = er.sims_on_tape(&mut s, mapped, ents2);
+            losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
 
-                    // --- semi-supervised O_semi (Eq. 10) ---
-                    if !mined_l.is_empty() {
-                        let ml = s.gather_param(&self.store, &tp1.ent, &mined_l);
-                        let mm = s.graph.matmul(ml, a_ent);
-                        let mr = s.gather_param(&self.store, &tp2.ent, &mined_r);
-                        let sims = s.graph.cosine_rows(mm, mr);
-                        losses.push(semi_supervised_loss(&mut s.graph, sims, &mined_soft));
-                    }
-                }
-                None => {
-                    let ents1 = self.model1.encode_entities(&mut s, &self.store, "g1.");
-                    let ents2 = self.model2.encode_entities(&mut s, &self.store, "g2.");
-                    let mapped = s.graph.matmul(ents1, a_ent);
-                    let (pos, neg) = rows.sims_on_tape(&mut s, mapped, ents2);
-                    losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
-
-                    if !mined_l.is_empty() {
-                        let l = s.graph.gather_rows(mapped, &mined_l);
-                        let r = s.graph.gather_rows(ents2, &mined_r);
-                        let sims = s.graph.cosine_rows(l, r);
-                        losses.push(semi_supervised_loss(&mut s.graph, sims, &mined_soft));
-                    }
-                }
+            // --- semi-supervised O_semi (Eq. 10) ---
+            if !rows.mined_l.is_empty() {
+                let l = s.graph.gather_rows(mapped, &rows.mined_l);
+                let r = s.graph.gather_rows(ents2, &rows.mined_r);
+                let sims = s.graph.cosine_rows(l, r);
+                losses.push(semi_supervised_loss(&mut s.graph, sims, &rows.mined_soft));
             }
         }
 
         // --- relation alignment O_ra (Eq. 8) ---
-        if let Some(rows) = &rel_rows {
+        if let Some(rr) = &rows.rel {
             let a_rel = s.param(&self.store, map_names::A_REL);
-            match &tables {
-                Some((tp1, tp2)) => {
-                    let (pos, neg) =
-                        rows.sparse_sims(&mut s, &self.store, &tp1.rel, &tp2.rel, a_rel);
-                    losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
-                }
-                None => {
-                    let rels1 = self.model1.encode_relations(&mut s, &self.store, "g1.");
-                    let rels2 = self.model2.encode_relations(&mut s, &self.store, "g2.");
-                    let mapped = s.graph.matmul(rels1, a_rel);
-                    let (pos, neg) = rows.sims_on_tape(&mut s, mapped, rels2);
-                    losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
-                }
-            }
-        }
-
-        // --- class alignment O_ca ---
-        //
-        // Class matrices are small derived leaves (gradients train the
-        // mapping matrix only), so the dense construction stays.
-        if let Some(rows) = &cls_rows {
-            let cls1 = class_matrix_on_tape(&mut s, &self.store, &self.ec1, "g1.");
-            let cls2 = class_matrix_on_tape(&mut s, &self.store, &self.ec2, "g2.");
-            let a_cls = s.param(&self.store, map_names::A_CLS);
-            let mapped = s.graph.matmul(cls1, a_cls);
-            let (pos, neg) = rows.sims_on_tape(&mut s, mapped, cls2);
+            let rels1 = self.model1.encode_relations(&mut s, &self.store, "g1.");
+            let rels2 = self.model2.encode_relations(&mut s, &self.store, "g2.");
+            let mapped = s.graph.matmul(rels1, a_rel);
+            let (pos, neg) = rr.sims_on_tape(&mut s, mapped, rels2);
             losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
         }
 
+        // --- class alignment O_ca ---
+        if let Some(cr) = &rows.cls {
+            losses.push(self.class_loss(&mut s, cr, focal_gamma));
+        }
+        self.finish_tape(s, losses, opt)
+    }
+
+    /// The tape construction of the closed-form step — the oracle
+    /// [`JointModel::kernel_step`] must reproduce bit for bit.
+    #[cfg(test)]
+    fn sparse_tape_step(
+        &mut self,
+        rows: &StepRows,
+        tp1: &TableParams,
+        tp2: &TableParams,
+        opt: &mut Adam,
+        focal_gamma: Option<f32>,
+    ) -> f32 {
+        let mut s = TapeSession::new();
+        let mut losses: Vec<Var> = Vec::new();
+        if let Some(er) = &rows.ent {
+            let a_ent = s.param(&self.store, map_names::A_ENT);
+            let (pos, neg) = er.sparse_sims(&mut s, &self.store, &tp1.ent, &tp2.ent, a_ent);
+            losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
+            if !rows.mined_l.is_empty() {
+                let ml = s.gather_param(&self.store, &tp1.ent, &rows.mined_l);
+                let mm = s.graph.matmul(ml, a_ent);
+                let mr = s.gather_param(&self.store, &tp2.ent, &rows.mined_r);
+                let sims = s.graph.cosine_rows(mm, mr);
+                losses.push(semi_supervised_loss(&mut s.graph, sims, &rows.mined_soft));
+            }
+        }
+        if let Some(rr) = &rows.rel {
+            let a_rel = s.param(&self.store, map_names::A_REL);
+            let (pos, neg) = rr.sparse_sims(&mut s, &self.store, &tp1.rel, &tp2.rel, a_rel);
+            losses.push(softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma));
+        }
+        if let Some(cr) = &rows.cls {
+            losses.push(self.class_loss(&mut s, cr, focal_gamma));
+        }
+        self.finish_tape(s, losses, opt)
+    }
+
+    /// The class alignment term `O_ca` on the tape. Class matrices are
+    /// small derived leaves (gradients train the mapping matrix only).
+    fn class_loss(&self, s: &mut TapeSession, rows: &PairRows, focal_gamma: Option<f32>) -> Var {
+        let cls1 = class_matrix_on_tape(s, &self.store, &self.ec1, "g1.");
+        let cls2 = class_matrix_on_tape(s, &self.store, &self.ec2, "g2.");
+        let a_cls = s.param(&self.store, map_names::A_CLS);
+        let mapped = s.graph.matmul(cls1, a_cls);
+        let (pos, neg) = rows.sims_on_tape(s, mapped, cls2);
+        softmax_pair_loss(&mut s.graph, pos, neg, focal_gamma)
+    }
+
+    /// Sum a tape step's losses, run backward and take the optimizer
+    /// step; returns the total loss (0 when no term ran).
+    fn finish_tape(&mut self, mut s: TapeSession, losses: Vec<Var>, opt: &mut Adam) -> f32 {
         let Some(total) = sum_losses(&mut s, losses) else {
             return 0.0;
         };
@@ -578,90 +765,15 @@ impl JointModel {
     }
 }
 
-/// Presampled row indices for the softmax pair loss: each labeled pair
-/// contributes `align_negatives` rows pairing the positive similarity with
-/// a sampled-negative similarity. Sampling happens before the tape exists,
-/// so the dense and sparse constructions consume the RNG identically.
-struct PairRows {
-    /// Left row per pair-negative slot (`left_once[rep[i]]`, expanded).
-    lrows: Vec<u32>,
-    /// Left row of each labeled pair, once.
-    left_once: Vec<u32>,
-    /// Expansion map: slot `i` belongs to pair `rep[i]`.
-    rep: Vec<u32>,
-    pos_rrows: Vec<u32>,
-    neg_rrows: Vec<u32>,
-}
-
-impl PairRows {
-    fn sample(pairs: &[(u32, u32)], negatives: usize, num_right: u32, rng: &mut StdRng) -> Self {
-        let k = negatives.max(1);
-        let mut lrows = Vec::with_capacity(pairs.len() * k);
-        let mut left_once = Vec::with_capacity(pairs.len());
-        let mut rep = Vec::with_capacity(pairs.len() * k);
-        let mut pos_rrows = Vec::with_capacity(pairs.len() * k);
-        let mut neg_rrows = Vec::with_capacity(pairs.len() * k);
-        for (p, &(l, r)) in pairs.iter().enumerate() {
-            left_once.push(l);
-            for _ in 0..k {
-                lrows.push(l);
-                rep.push(p as u32);
-                pos_rrows.push(r);
-                // Rejection-sample a right element different from the match.
-                let mut neg = rng.gen_range(0..num_right);
-                for _ in 0..8 {
-                    if neg != r {
-                        break;
-                    }
-                    neg = rng.gen_range(0..num_right);
-                }
-                neg_rrows.push(neg);
-            }
-        }
-        Self {
-            lrows,
-            left_once,
-            rep,
-            pos_rrows,
-            neg_rrows,
-        }
-    }
-
-    /// The dense-construction similarity columns: gather the presampled
-    /// rows from the mapped left matrix and the right matrix on the tape.
-    fn sims_on_tape(&self, s: &mut TapeSession, mapped_left: Var, right: Var) -> (Var, Var) {
-        let l = s.graph.gather_rows(mapped_left, &self.lrows);
-        let rp = s.graph.gather_rows(right, &self.pos_rrows);
-        let rn = s.graph.gather_rows(right, &self.neg_rrows);
-        let pos = s.graph.cosine_rows(l, rp);
-        let l2 = s.graph.gather_rows(mapped_left, &self.lrows);
-        let neg = s.graph.cosine_rows(l2, rn);
-        (pos, neg)
-    }
-
-    /// The sparse-construction similarity columns: map each pair's left
-    /// row through the mapping matrix **once**, expand to the pair×k
-    /// slots via a cheap tape gather, and cosine against externally
-    /// gathered right rows. Same math as [`PairRows::sims_on_tape`] over a
-    /// fully mapped table, at `O(pairs·d²)` instead of `O(n·d²)` — and
-    /// without the k-fold redundant mapping of repeated left rows.
-    fn sparse_sims(
-        &self,
-        s: &mut TapeSession,
-        store: &ParamStore,
-        left_table: &str,
-        right_table: &str,
-        a_map: Var,
-    ) -> (Var, Var) {
-        let l_raw = s.gather_param(store, left_table, &self.left_once);
-        let mapped_once = s.graph.matmul(l_raw, a_map);
-        let mapped = s.graph.gather_rows(mapped_once, &self.rep);
-        let rp = s.gather_param(store, right_table, &self.pos_rrows);
-        let rn = s.gather_param(store, right_table, &self.neg_rrows);
-        let pos = s.graph.cosine_rows(mapped, rp);
-        let neg = s.graph.cosine_rows(mapped, rn);
-        (pos, neg)
-    }
+/// Everything one alignment step samples before it computes anything.
+struct StepRows {
+    ent: Option<PairRows>,
+    rel: Option<PairRows>,
+    cls: Option<PairRows>,
+    /// Mined potential matches `(left, right)` with their soft labels.
+    mined_l: Vec<u32>,
+    mined_r: Vec<u32>,
+    mined_soft: Vec<f32>,
 }
 
 /// Put the dedicated class-embedding matrix `[w_c | b_c]` on the tape.
@@ -802,6 +914,106 @@ mod tests {
                     assert!(moved, "{what}: the {prefix} warm-up trained nothing");
                 }
             }
+        }
+    }
+
+    /// Two identical models, the second running its sparse alignment
+    /// steps on the tape oracle.
+    fn kernel_and_tape(
+        cfg: JointConfig,
+        kg1: &KnowledgeGraph,
+        kg2: &KnowledgeGraph,
+    ) -> (JointModel, JointModel) {
+        let kernel = JointModel::new(cfg, kg1, kg2).unwrap();
+        let mut tape = JointModel::new(cfg, kg1, kg2).unwrap();
+        tape.tape_oracle = true;
+        (kernel, tape)
+    }
+
+    fn assert_losses_bitwise_eq(got: &[f32], want: &[f32], what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(!got.is_empty(), "{what}: no steps ran");
+        assert_eq!(bits(got), bits(want), "{what}: loss trajectory");
+    }
+
+    /// The closed-form alignment step trains every parameter and every
+    /// loss to the tape oracle's bits through `train`,
+    /// `fine_tune_with_inferred` (focal, with injected hard and soft
+    /// pairs) and `align_rounds`: with and without relation labels, mined
+    /// pairs and class labels (whose tape term mixes with the kernel's
+    /// gradients), across seeds. The warm-up inside `train` is the
+    /// closed-form TransE kernel on both sides; `daakg-embed` checks it
+    /// against its own tape oracle.
+    #[test]
+    fn alignment_kernel_matches_the_tape_oracle_bitwise() {
+        let kg1 = example_dbpedia();
+        let kg2 = example_wikidata();
+        let full = example_labels(&kg1, &kg2);
+        let no_rel = LabeledMatches {
+            relations: Vec::new(),
+            ..full.clone()
+        };
+        let no_cls = LabeledMatches {
+            classes: Vec::new(),
+            ..full.clone()
+        };
+        let inferred = vec![
+            (full.entities[1].0, full.entities[1].1, 0.9f32),
+            (full.entities[2].0, full.entities[2].1, 0.3f32),
+        ];
+        for seed in [1, 2, 29] {
+            for (name, labels) in [("all", &full), ("no rel", &no_rel), ("no cls", &no_cls)] {
+                for semi in [false, true] {
+                    let mut cfg = tiny_cfg();
+                    cfg.embed.seed = seed;
+                    cfg.use_semi_supervision = semi;
+                    // A low threshold so the mined set is non-empty.
+                    cfg.semi_threshold = 0.0;
+                    let what = format!("seed={seed} labels={name} semi={semi}");
+                    let (mut kernel, mut tape) = kernel_and_tape(cfg, &kg1, &kg2);
+                    kernel.train(&kg1, &kg2, labels);
+                    tape.train(&kg1, &kg2, labels);
+                    assert_eq!(semi, !kernel.last_mined().is_empty(), "{what}: mining");
+                    assert_stores_bitwise_eq(kernel.store(), tape.store(), &what);
+                    kernel.fine_tune_with_inferred(&kg1, &kg2, labels, &inferred, 0.5);
+                    tape.fine_tune_with_inferred(&kg1, &kg2, labels, &inferred, 0.5);
+                    assert_stores_bitwise_eq(kernel.store(), tape.store(), &what);
+                    let got = kernel.align_rounds(&kg1, &kg2, labels, 3);
+                    let want = tape.align_rounds(&kg1, &kg2, labels, 3);
+                    assert_losses_bitwise_eq(&got, &want, &what);
+                    assert_stores_bitwise_eq(kernel.store(), tape.store(), &what);
+                }
+            }
+        }
+    }
+
+    /// Adversarial rows: a left and a right entity row of exactly zero
+    /// (both cosine norms take the `1e-12` skip), a left entity labeled
+    /// twice, a right entity matched twice, and a right side so small that
+    /// positives are drawn again as negatives.
+    #[test]
+    fn alignment_kernel_matches_the_tape_oracle_on_adversarial_rows() {
+        let (kg1, kg2) = (typed_kg("left", 12, 5), typed_kg("right", 3, 2));
+        let labels = LabeledMatches {
+            entities: vec![(0, 0), (1, 0), (2, 1), (2, 2), (3, 1)],
+            ..LabeledMatches::new()
+        };
+        for focal in [false, true] {
+            let mut cfg = tiny_cfg();
+            cfg.semi_threshold = 0.0;
+            let (mut kernel, mut tape) = kernel_and_tape(cfg, &kg1, &kg2);
+            for m in [&mut kernel, &mut tape] {
+                m.store.get_mut("g1.ent").row_mut(3).fill(0.0);
+                m.store.get_mut("g2.ent").row_mut(2).fill(0.0);
+                if focal {
+                    m.fine_tune(&kg1, &kg2, &labels);
+                }
+            }
+            let got = kernel.align_rounds(&kg1, &kg2, &labels, 4);
+            let want = tape.align_rounds(&kg1, &kg2, &labels, 4);
+            let what = format!("focal={focal}");
+            assert_losses_bitwise_eq(&got, &want, &what);
+            assert_stores_bitwise_eq(kernel.store(), tape.store(), &what);
         }
     }
 

@@ -81,7 +81,7 @@ pub use delta::{DeltaEntry, DeltaRecovery, DeltaTriple, LiveConfig, LiveHealth};
 // service API consumes them.
 pub use daakg_index::{IvfConfig, IvfIndex, QueryMode, QueryOptions};
 pub use ingress::{DegradePolicy, IngressConfig, IngressStats, PendingAnswer};
-pub use joint::{JointModel, LabeledMatches};
+pub use joint::{JointModel, LabeledMatches, TrainSpans};
 pub use persist::{DurableRegistry, RecoveryReport};
 pub use query::QueryExecutor;
 pub use service::{

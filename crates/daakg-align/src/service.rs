@@ -563,7 +563,8 @@ impl AlignmentService {
     ) -> Result<Self, DaakgError> {
         serving.validate()?;
         let telem = ServiceTelemetry::new(serving.telemetry.clone());
-        let model = JointModel::new(cfg, &kg1, &kg2)?;
+        let mut model = JointModel::new(cfg, &kg1, &kg2)?;
+        model.set_spans(telem.training.clone());
         let mut initial = model.snapshot(&kg1, &kg2);
         initial.set_index_config(serving.index.clone());
         let svc = Self {
@@ -614,7 +615,8 @@ impl AlignmentService {
         let mut store = DurableRegistry::open(dir)?;
         store.set_spans(telem.store.clone());
         let (mut entries, report) = store.recover()?;
-        let model = JointModel::new(cfg, &kg1, &kg2)?;
+        let mut model = JointModel::new(cfg, &kg1, &kg2)?;
+        model.set_spans(telem.training.clone());
         let fresh = entries.is_empty();
         let registry = if fresh {
             let mut initial = model.snapshot(&kg1, &kg2);
@@ -3313,8 +3315,11 @@ mod tests {
     }
 
     /// Each training call records exactly one sample in its stage
-    /// histogram: `train` in `stage_train_ns`, every fine-tune flavour in
-    /// `stage_fine_tune_ns`.
+    /// histogram — `train` in `stage_train_ns`, every fine-tune flavour in
+    /// `stage_fine_tune_ns` — and its stages inside them: one `train` is
+    /// one warm-up, `align_epochs` alignment steps and a round-state
+    /// refresh every 5 epochs plus a final one; one fine-tune is
+    /// `fine_tune_epochs` steps and one refresh.
     #[test]
     fn training_calls_record_one_train_or_fine_tune_sample_each() {
         let svc = example_service();
@@ -3326,17 +3331,33 @@ mod tests {
                 .find(|(n, _)| n == name)
                 .map_or(0, |(_, h)| h.count())
         };
-        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (0, 0));
+        let counts = || {
+            [
+                "stage_train_ns",
+                "stage_fine_tune_ns",
+                "stage_warm_up_ns",
+                "stage_align_step_ns",
+                "stage_round_scan_ns",
+            ]
+            .map(hist)
+        };
+        let cfg = tiny_cfg();
+        let (steps, scans) = (
+            cfg.align_epochs as u64,
+            cfg.align_epochs.div_ceil(5) as u64 + 1,
+        );
+        let tune = cfg.fine_tune_epochs as u64;
+        assert_eq!(counts(), [0, 0, 0, 0, 0]);
         let labels = example_labels(&svc);
         svc.train(&labels).unwrap();
-        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (1, 0));
+        assert_eq!(counts(), [1, 0, 1, steps, scans]);
         svc.fine_tune(&labels).unwrap();
-        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (1, 1));
+        assert_eq!(counts(), [1, 1, 1, steps + tune, scans + 1]);
         svc.fine_tune_with_inferred(&labels, &[(1, 1, 0.9)], 0.5)
             .unwrap();
-        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (1, 2));
+        assert_eq!(counts(), [1, 2, 1, steps + 2 * tune, scans + 2]);
         svc.train(&labels).unwrap();
-        assert_eq!((hist("stage_train_ns"), hist("stage_fine_tune_ns")), (2, 2));
+        assert_eq!(counts(), [2, 2, 2, 2 * steps + 2 * tune, 2 * scans + 2]);
     }
 
     /// The training spans do not perturb training: a service with

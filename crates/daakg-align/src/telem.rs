@@ -31,6 +31,9 @@
 //! | histogram | `stage_delta_merge_ns` | live delta-slab merge into an answer |
 //! | histogram | `stage_train_ns` | full training: warm-up plus alignment rounds |
 //! | histogram | `stage_fine_tune_ns` | active-learning focal fine-tune |
+//! | histogram | `stage_warm_up_ns` | the embedding warm-up of one full training |
+//! | histogram | `stage_align_step_ns` | one alignment optimizer step (training and fine-tune) |
+//! | histogram | `stage_round_scan_ns` | one round-state refresh: snapshot build + fused Eq. 6 / mining scan |
 //! | histogram | `stage_warm_start_ns` | upsert warm-start fine-tune |
 //! | histogram | `stage_delta_append_ns` | delta log record encode + `pwrite` |
 //! | histogram | `stage_delta_sync_ns` | delta log `fdatasync` (the upsert ack) |
@@ -40,6 +43,7 @@
 //! | histogram | `stage_store_write_ns` | store tmp-file byte write |
 //! | histogram | `stage_store_fsync_ns` | store fsync + rename + dir-fsync |
 
+use crate::joint::TrainSpans;
 use daakg_index::SearchSpans;
 use daakg_store::StoreSpans;
 use daakg_telemetry::{
@@ -62,6 +66,7 @@ pub(crate) struct ServiceTelemetry {
     pub delta_merge: HistogramHandle,
     pub train: HistogramHandle,
     pub fine_tune: HistogramHandle,
+    pub training: TrainSpans,
     pub warm_start: HistogramHandle,
     pub delta_append: HistogramHandle,
     pub delta_sync: HistogramHandle,
@@ -98,6 +103,11 @@ impl ServiceTelemetry {
             delta_merge: reg.histogram("stage_delta_merge_ns"),
             train: reg.histogram("stage_train_ns"),
             fine_tune: reg.histogram("stage_fine_tune_ns"),
+            training: TrainSpans {
+                warm_up: reg.histogram("stage_warm_up_ns"),
+                align_step: reg.histogram("stage_align_step_ns"),
+                round_scan: reg.histogram("stage_round_scan_ns"),
+            },
             warm_start: reg.histogram("stage_warm_start_ns"),
             delta_append: reg.histogram("stage_delta_append_ns"),
             delta_sync: reg.histogram("stage_delta_sync_ns"),

@@ -35,15 +35,6 @@ enum Op {
     /// never enters the tape, and its gradient accumulates as a
     /// [`SparseGrad`] over the touched rows only.
     GatherExternal(u32, Vec<u32>),
-    /// Fused external gather-combine-norm: output row `i` is the L2 norm
-    /// of `Σ_t sign_t · table_t[indices_t[i]]`. One tape node replaces the
-    /// gather/add/sub/norm chain of translational scoring — no
-    /// intermediate batch tensors on either pass. `diff` caches the signed
-    /// row sums for the backward.
-    GatherL2External {
-        terms: Vec<(u32, Vec<u32>, f32)>,
-        diff: Tensor,
-    },
     ScatterMean {
         src: Var,
         targets: Vec<u32>,
@@ -51,7 +42,6 @@ enum Op {
     },
     SumAll(Var),
     MeanAll(Var),
-    SumRows(Var),
     Relu(Var),
     Tanh(Var),
     Sigmoid(Var),
@@ -63,7 +53,6 @@ enum Op {
     Cos(Var),
     SliceCols(Var, usize, usize),
     ConcatCols(Var, Var),
-    MulColVec(Var, Var),
     AddRowVec(Var, Var),
     RowsL2Norm(Var),
     CosineRows(Var, Var),
@@ -86,20 +75,6 @@ struct ExternalParam {
     grad: Option<SparseGrad>,
 }
 
-/// One term of a fused external gather-combine
-/// ([`Graph::gather_l2_external`]): contributes
-/// `sign · table[indices[i]]` to batch row `i`.
-pub struct GatherTerm<'a> {
-    /// External parameter name (the optimizer key).
-    pub name: &'a str,
-    /// The parameter table (stays owned by the caller).
-    pub table: &'a Tensor,
-    /// One table row per batch row.
-    pub indices: &'a [u32],
-    /// Coefficient of this term (`+1.0` / `-1.0` for `h + r − t`).
-    pub sign: f32,
-}
-
 /// A dynamic computation graph (tape).
 ///
 /// Graphs are cheap to create; the training loops build a fresh graph per
@@ -116,16 +91,6 @@ impl Graph {
     /// An empty tape.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
@@ -253,48 +218,6 @@ impl Graph {
         self.push(out, Op::GatherExternal(slot as u32, indices.to_vec()))
     }
 
-    /// Fused sparse scoring: output row `i` is the **L2 norm** of the
-    /// signed sum `Σ_t sign_t · table_t[indices_t[i]]` over external
-    /// parameter tables — the whole translational score `‖h + r − t‖` as
-    /// one tape node. Arithmetic matches the decomposed
-    /// gather/add/sub/[`Graph::rows_l2norm`] chain exactly (same element
-    /// order), but neither pass materializes a batch×dim intermediate per
-    /// op, which is what makes the sparse training path fast.
-    pub fn gather_l2_external(&mut self, terms: &[GatherTerm]) -> Var {
-        assert!(!terms.is_empty(), "at least one gather term");
-        let cols = terms[0].table.cols();
-        let m = terms[0].indices.len();
-        let mut op_terms = Vec::with_capacity(terms.len());
-        for t in terms {
-            assert_eq!(t.table.cols(), cols, "gather term width mismatch");
-            assert_eq!(t.indices.len(), m, "gather term length mismatch");
-            let slot = self.register_external(t.name, t.table);
-            op_terms.push((slot as u32, t.indices.to_vec(), t.sign));
-        }
-        let mut diff = Tensor::zeros(m, cols);
-        for (term, op_term) in terms.iter().zip(&op_terms) {
-            let sign = op_term.2;
-            for (i, &idx) in op_term.1.iter().enumerate() {
-                let src = term.table.row(idx as usize);
-                for (d, v) in diff.row_mut(i).iter_mut().zip(src) {
-                    *d += sign * v;
-                }
-            }
-        }
-        let mut out = Tensor::zeros(m, 1);
-        for i in 0..m {
-            let n = diff.row(i).iter().map(|x| x * x).sum::<f32>().sqrt();
-            out.set(i, 0, n);
-        }
-        self.push(
-            out,
-            Op::GatherL2External {
-                terms: op_terms,
-                diff,
-            },
-        )
-    }
-
     fn register_external(&mut self, name: &str, table: &Tensor) -> usize {
         match self.externals.iter().position(|e| e.name == name) {
             Some(i) => {
@@ -324,11 +247,6 @@ impl Graph {
             .iter()
             .find(|e| e.name == name)
             .and_then(|e| e.grad.as_ref())
-    }
-
-    /// Names of all external parameters registered on this tape.
-    pub fn external_names(&self) -> impl Iterator<Item = &str> {
-        self.externals.iter().map(|e| e.name.as_str())
     }
 
     /// Take ownership of every accumulated external sparse gradient as
@@ -392,16 +310,6 @@ impl Graph {
         let t = self.value(a);
         let out = Tensor::scalar(t.sum() / t.len() as f32);
         self.push(out, Op::MeanAll(a))
-    }
-
-    /// Row sums: `m×n → m×1`.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let t = self.value(a);
-        let mut out = Tensor::zeros(t.rows(), 1);
-        for r in 0..t.rows() {
-            out.set(r, 0, t.row(r).iter().sum());
-        }
-        self.push(out, Op::SumRows(a))
     }
 
     // ------------------------------------------------------------------
@@ -497,20 +405,6 @@ impl Graph {
     // ------------------------------------------------------------------
     // Broadcasting ops
     // ------------------------------------------------------------------
-
-    /// Multiply each row `r` of `a` (m×n) by the scalar `c[r]` (m×1).
-    pub fn mul_colvec(&mut self, a: Var, c: Var) -> Var {
-        let (ta, tc) = (self.value(a), self.value(c));
-        assert_eq!(tc.shape(), (ta.rows(), 1), "mul_colvec shape mismatch");
-        let mut out = ta.clone();
-        for r in 0..out.rows() {
-            let s = tc.get(r, 0);
-            for v in out.row_mut(r) {
-                *v *= s;
-            }
-        }
-        self.push(out, Op::MulColVec(a, c))
-    }
 
     /// Add the row vector `v` (1×n) to every row of `a` (m×n): the bias add.
     pub fn add_rowvec(&mut self, a: Var, v: Var) -> Var {
@@ -614,42 +508,16 @@ impl Graph {
     }
 
     fn propagate(&mut self, idx: usize, g: &Tensor) {
-        // External ops only touch `self.externals`; handle them first with
-        // split field borrows so their payloads need no cloning.
-        match &self.nodes[idx].op {
-            Op::GatherExternal(slot, indices) => {
-                let e = &mut self.externals[*slot as usize];
-                let (cols, rows) = (e.cols, e.rows);
-                let sg = e
-                    .grad
-                    .get_or_insert_with(|| SparseGrad::with_rows(cols, rows));
-                sg.add_gathered(indices, g);
-                return;
-            }
-            Op::GatherL2External { terms, diff } => {
-                // ∂‖x‖/∂x = x/‖x‖ per row; each term scatters
-                // `sign · g/‖x‖ · diff[row]` into its table's sparse grad.
-                // Terms run in reverse so accumulation order matches the
-                // decomposed chain's reverse-tape walk.
-                let norms = &self.nodes[idx].value;
-                for &(slot, ref indices, sign) in terms.iter().rev() {
-                    let e = &mut self.externals[slot as usize];
-                    let (cols, rows) = (e.cols, e.rows);
-                    let sg = e
-                        .grad
-                        .get_or_insert_with(|| SparseGrad::with_rows(cols, rows));
-                    for (i, &idx_row) in indices.iter().enumerate() {
-                        let n = norms.get(i, 0);
-                        if n <= NORM_EPS {
-                            continue;
-                        }
-                        let scale = sign * (g.get(i, 0) / n);
-                        sg.add_row_scaled(idx_row, diff.row(i), scale);
-                    }
-                }
-                return;
-            }
-            _ => {}
+        // External gathers only touch `self.externals`; handle them first
+        // with split field borrows so their payloads need no cloning.
+        if let Op::GatherExternal(slot, indices) = &self.nodes[idx].op {
+            let e = &mut self.externals[*slot as usize];
+            let (cols, rows) = (e.cols, e.rows);
+            let sg = e
+                .grad
+                .get_or_insert_with(|| SparseGrad::with_rows(cols, rows));
+            sg.add_gathered(indices, g);
+            return;
         }
         // Clone the small bits of op metadata we need, to end the borrow.
         match &self.nodes[idx].op {
@@ -724,7 +592,7 @@ impl Graph {
                 }
                 self.accumulate(table, gt);
             }
-            Op::GatherExternal(..) | Op::GatherL2External { .. } => {
+            Op::GatherExternal(..) => {
                 unreachable!("handled by the split-borrow fast path above")
             }
             Op::ScatterMean {
@@ -758,18 +626,6 @@ impl Graph {
                 let t = self.value(a);
                 let s = g.item() / t.len() as f32;
                 self.accumulate(a, Tensor::full(t.rows(), t.cols(), s));
-            }
-            Op::SumRows(a) => {
-                let a = *a;
-                let t = self.value(a);
-                let mut ga = Tensor::zeros(t.rows(), t.cols());
-                for r in 0..t.rows() {
-                    let s = g.get(r, 0);
-                    for v in ga.row_mut(r) {
-                        *v = s;
-                    }
-                }
-                self.accumulate(a, ga);
             }
             Op::Relu(a) => {
                 let a = *a;
@@ -887,25 +743,6 @@ impl Graph {
                 }
                 self.accumulate(a, ga);
                 self.accumulate(b, gb);
-            }
-            Op::MulColVec(a, c) => {
-                let (a, c) = (*a, *c);
-                let ta = self.value(a).clone();
-                let tc = self.value(c).clone();
-                let mut ga = g.clone();
-                let mut gc = Tensor::zeros(ta.rows(), 1);
-                for r in 0..ta.rows() {
-                    let s = tc.get(r, 0);
-                    let mut dot = 0.0;
-                    let arow = ta.row(r);
-                    for (i, v) in ga.row_mut(r).iter_mut().enumerate() {
-                        dot += *v * arow[i];
-                        *v *= s;
-                    }
-                    gc.set(r, 0, dot);
-                }
-                self.accumulate(a, ga);
-                self.accumulate(c, gc);
             }
             Op::AddRowVec(a, v) => {
                 let (a, v) = (*a, *v);
@@ -1068,67 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_gather_l2_matches_decomposed_chain() {
-        // ‖h + r − t‖ fused vs gather/add/sub/rows_l2norm, forward and
-        // backward, including a repeated index (head row 1 is also a tail).
-        let ents = Tensor::from_rows(&[&[1.0, 2.0], &[0.5, -1.0], &[3.0, 0.0]]);
-        let rels = Tensor::from_rows(&[&[0.1, 0.2], &[-0.3, 0.4]]);
-        let heads = [0u32, 1];
-        let rids = [1u32, 0];
-        let tails = [2u32, 1];
-
-        let mut fused = Graph::new();
-        let score = fused.gather_l2_external(&[
-            GatherTerm {
-                name: "ent",
-                table: &ents,
-                indices: &heads,
-                sign: 1.0,
-            },
-            GatherTerm {
-                name: "rel",
-                table: &rels,
-                indices: &rids,
-                sign: 1.0,
-            },
-            GatherTerm {
-                name: "ent",
-                table: &ents,
-                indices: &tails,
-                sign: -1.0,
-            },
-        ]);
-        let loss = fused.sum_all(score);
-        fused.backward(loss);
-
-        let mut chain = Graph::new();
-        let e = chain.leaf(ents.clone());
-        let r = chain.leaf(rels.clone());
-        let h = chain.gather_rows(e, &heads);
-        let rr = chain.gather_rows(r, &rids);
-        let t = chain.gather_rows(e, &tails);
-        let hr = chain.add(h, rr);
-        let d = chain.sub(hr, t);
-        let n = chain.rows_l2norm(d);
-        let loss2 = chain.sum_all(n);
-        chain.backward(loss2);
-
-        assert_eq!(fused.value(score), chain.value(n), "forward mismatch");
-        let ge = chain.grad(e).unwrap();
-        let gr = chain.grad(r).unwrap();
-        assert_eq!(
-            &fused.external_grad("ent").unwrap().to_dense(3),
-            ge,
-            "entity grad mismatch"
-        );
-        assert_eq!(
-            &fused.external_grad("rel").unwrap().to_dense(2),
-            gr,
-            "relation grad mismatch"
-        );
-    }
-
-    #[test]
     fn gather_external_same_name_merges_across_calls() {
         let table = Tensor::from_rows(&[&[1.0], &[2.0], &[3.0]]);
         let mut g = Graph::new();
@@ -1264,16 +1040,6 @@ mod tests {
 
     #[test]
     fn broadcast_ops() {
-        let mut g = Graph::new();
-        let a = g.leaf(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let c = g.leaf(Tensor::from_rows(&[&[2.0], &[10.0]]));
-        let y = g.mul_colvec(a, c);
-        assert_eq!(g.value(y).as_slice(), &[2.0, 4.0, 30.0, 40.0]);
-        let loss = g.sum_all(y);
-        g.backward(loss);
-        assert_eq!(g.grad(a).unwrap().as_slice(), &[2.0, 2.0, 10.0, 10.0]);
-        assert_eq!(g.grad(c).unwrap().as_slice(), &[3.0, 7.0]);
-
         let mut g2 = Graph::new();
         let a2 = g2.leaf(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
         let v = g2.leaf(Tensor::row_vector(&[10.0, 20.0]));

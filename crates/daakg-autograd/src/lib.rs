@@ -44,7 +44,7 @@ pub mod session;
 pub mod sparse;
 pub mod tensor;
 
-pub use graph::{GatherTerm, Graph, Var};
+pub use graph::{Graph, Var};
 pub use optim::{unique_rows, Adam, AdamConfig, Optimizer, ParamStore, Sgd};
 pub use session::{NamedGrads, TapeSession};
 pub use sparse::SparseGrad;

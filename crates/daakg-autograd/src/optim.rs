@@ -424,11 +424,6 @@ impl Adam {
         self.cfg.lr
     }
 
-    /// Override the learning rate (e.g. for the fine-tuning phase).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// The bias table extended through step `t`.
     fn bias_through<'a>(bias: &'a mut Vec<Bias>, cfg: &AdamConfig, t: u64) -> &'a [Bias] {
         while bias.len() as u64 <= t {

@@ -27,11 +27,6 @@ pub struct NamedGrads {
 }
 
 impl NamedGrads {
-    /// True when no parameter received a gradient.
-    pub fn is_empty(&self) -> bool {
-        self.dense.is_empty() && self.sparse.is_empty()
-    }
-
     /// Merge another shard's gradients into this one (entry-wise sum).
     pub fn merge(&mut self, other: NamedGrads) {
         for (name, grad) in other.dense {
@@ -101,27 +96,6 @@ impl TapeSession {
     /// sparse-training fast path; see [`Graph::gather_external`].
     pub fn gather_param(&mut self, store: &ParamStore, name: &str, indices: &[u32]) -> Var {
         self.graph.gather_external(name, store.get(name), indices)
-    }
-
-    /// Fused sparse score `‖Σ sign · param[rows]‖` over named parameters —
-    /// one tape node for a whole translational score; see
-    /// [`Graph::gather_l2_external`]. Terms are `(name, indices, sign)`.
-    pub fn gather_l2_param(&mut self, store: &ParamStore, terms: &[(&str, &[u32], f32)]) -> Var {
-        let gts: Vec<crate::graph::GatherTerm> = terms
-            .iter()
-            .map(|&(name, indices, sign)| crate::graph::GatherTerm {
-                name,
-                table: store.get(name),
-                indices,
-                sign,
-            })
-            .collect();
-        self.graph.gather_l2_external(&gts)
-    }
-
-    /// Names of all bound parameters, in deterministic order.
-    pub fn bound_names(&self) -> impl Iterator<Item = &str> {
-        self.bindings.keys().map(String::as_str)
     }
 
     /// Run backward from `loss` (delegates to [`Graph::backward`]).
@@ -201,7 +175,6 @@ mod tests {
         let a = s.param(&store, "w");
         let b = s.param(&store, "w");
         assert_eq!(a, b);
-        assert_eq!(s.bound_names().collect::<Vec<_>>(), vec!["w"]);
     }
 
     #[test]

@@ -77,6 +77,17 @@ impl SparseGrad {
         }
     }
 
+    /// Forget every touched row but keep the allocations, so per-batch
+    /// kernels reuse one gradient instead of rebuilding the row table.
+    pub fn clear(&mut self) {
+        match &mut self.slot {
+            Slots::Map(m) => m.clear(),
+            Slots::Direct(v) => self.ids.iter().for_each(|&id| v[id as usize] = u32::MAX),
+        }
+        self.ids.clear();
+        self.data.clear();
+    }
+
     /// Row width.
     pub fn cols(&self) -> usize {
         self.cols
@@ -241,6 +252,23 @@ mod tests {
         b.add_row(5, &[5.0]);
         a.merge(&b);
         assert_eq!(a.to_dense(6).as_slice(), &[1.0, 0.0, 5.0, 0.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn cleared_grad_equals_a_fresh_one() {
+        for mut g in [SparseGrad::new(2), SparseGrad::with_rows(2, 4)] {
+            g.add_row(3, &[1.0, 2.0]);
+            g.add_row(1, &[4.0, 4.0]);
+            g.clear();
+            assert!(g.is_empty());
+            assert_eq!(g.row(3), None);
+            g.add_row(1, &[0.5, 0.5]);
+            assert_eq!(g.touched_ids(), &[1]);
+            assert_eq!(
+                g.to_dense(4).as_slice(),
+                &[0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+            );
+        }
     }
 
     #[test]

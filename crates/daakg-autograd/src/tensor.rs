@@ -189,17 +189,11 @@ impl Tensor {
         }
     }
 
-    /// Reset all elements to zero, keeping the allocation.
-    pub fn zero_out(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Matrix product `self · other`.
     ///
     /// Dense cache-blocked kernel, row-band parallel above
     /// `PAR_MIN_FLOPS`. The inner loop is a branch-free axpy so it
-    /// vectorizes; callers with genuinely sparse left operands should use
-    /// [`Tensor::matmul_sparse_aware`] instead, which keeps the zero-skip.
+    /// vectorizes.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -252,35 +246,6 @@ impl Tensor {
     /// Minimum multiply-add count before a product is worth spreading over
     /// threads; below this the spawn cost dominates.
     const PAR_MIN_FLOPS: usize = 1 << 16;
-
-    /// Sparsity-aware matrix product: identical result to
-    /// [`Tensor::matmul`], but the inner loop skips zero entries of `self`.
-    /// Worth it only when the left operand is mostly zeros (e.g. one-hot
-    /// selector matrices); on dense inputs the branch defeats
-    /// vectorization, which is why the dense path no longer carries it.
-    pub fn matmul_sparse_aware(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
-    }
 
     /// Fused `self · otherᵀ` without materializing the transpose.
     ///
@@ -428,17 +393,6 @@ impl Tensor {
             }
         }
     }
-
-    /// Euclidean distance between two rows of (possibly different) tensors.
-    pub fn row_distance(a: &Tensor, ra: usize, b: &Tensor, rb: usize) -> f32 {
-        assert_eq!(a.cols, b.cols);
-        a.row(ra)
-            .iter()
-            .zip(b.row(rb).iter())
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f32>()
-            .sqrt()
-    }
 }
 
 /// Dot product with an 8-lane unrolled accumulator: the strictly-sequential
@@ -483,16 +437,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
         return 0.0;
     }
     dot / (na.sqrt() * nb.sqrt())
-}
-
-/// Euclidean distance of two equal-length slices.
-pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f32>()
-        .sqrt()
 }
 
 #[cfg(test)]
@@ -573,19 +517,6 @@ mod tests {
             // by the reduction length.
             assert_close(&fast, &slow, 1e-4 * k as f32);
         }
-    }
-
-    #[test]
-    fn sparse_aware_matmul_matches_dense() {
-        let mut a = random_tensor(20, 30, 9);
-        // Zero out most of the left operand.
-        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
-            if i % 5 != 0 {
-                *v = 0.0;
-            }
-        }
-        let b = random_tensor(30, 10, 10);
-        assert_close(&a.matmul_sparse_aware(&b), &a.matmul(&b), 1e-4);
     }
 
     #[test]
@@ -672,15 +603,5 @@ mod tests {
         assert_eq!(a.as_slice(), &[6.0, 12.0]);
         a.scale(2.0);
         assert_eq!(a.as_slice(), &[12.0, 24.0]);
-        a.zero_out();
-        assert_eq!(a.as_slice(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn distances() {
-        assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-6);
-        let a = Tensor::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]);
-        let b = Tensor::from_rows(&[&[3.0, 4.0]]);
-        assert!((Tensor::row_distance(&a, 0, &b, 0) - 5.0).abs() < 1e-6);
     }
 }

@@ -26,6 +26,7 @@
 pub mod compgcn;
 pub mod config;
 pub mod entity_class;
+mod kernel;
 pub mod model;
 pub mod rotate;
 pub mod sampling;

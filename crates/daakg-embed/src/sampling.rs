@@ -82,16 +82,18 @@ impl NegativeSampler {
     }
 
     /// For each positive `(h, r, t)` in the batch, draw `k` corrupted tails
-    /// that do not form asserted triples. Returns `(heads, rels, tails)`
-    /// arrays of length `batch·k`, with positives repeated to align.
-    pub fn corrupt_tails(&self, rng: &mut StdRng, batch: &TripleArrays, k: usize) -> TripleArrays {
+    /// that do not form asserted triples into `tails` (cleared first);
+    /// slot `i·k + j` is positive `i`'s `j`-th. A negative's head and
+    /// relation are its positive's.
+    pub fn sample_tails(
+        &self,
+        rng: &mut StdRng,
+        batch: &TripleArrays,
+        k: usize,
+        tails: &mut Vec<u32>,
+    ) {
         assert!(self.num_entities > 0, "cannot sample from an empty KG");
-        let m = batch.len() * k;
-        let mut out = TripleArrays {
-            heads: Vec::with_capacity(m),
-            rels: Vec::with_capacity(m),
-            tails: Vec::with_capacity(m),
-        };
+        tails.clear();
         for i in 0..batch.len() {
             let (h, r) = (batch.heads[i], batch.rels[i]);
             for _ in 0..k {
@@ -104,12 +106,18 @@ impl NegativeSampler {
                     }
                     tail = rng.gen_range(0..self.num_entities);
                 }
-                out.heads.push(h);
-                out.rels.push(r);
-                out.tails.push(tail);
+                tails.push(tail);
             }
         }
-        out
+    }
+
+    /// [`NegativeSampler::sample_tails`] with the positives' heads and
+    /// relations repeated alongside, as the tape-built scorers take them.
+    pub fn corrupt_tails(&self, rng: &mut StdRng, batch: &TripleArrays, k: usize) -> TripleArrays {
+        let repeat = |v: &[u32]| v.iter().flat_map(|&x| std::iter::repeat_n(x, k)).collect();
+        let (heads, rels, mut tails) = (repeat(&batch.heads), repeat(&batch.rels), Vec::new());
+        self.sample_tails(rng, batch, k, &mut tails);
+        TripleArrays { heads, rels, tails }
     }
 }
 
@@ -190,6 +198,32 @@ mod tests {
             violations <= neg.len() / 10,
             "too many violations: {violations}"
         );
+    }
+
+    /// What the sampler drew for this batch at seed 5 before tails were
+    /// split from the repeated positives.
+    const PINNED_TAILS: [u32; 6] = [3, 0, 3, 4, 0, 5];
+
+    /// The tail draws are pinned for a fixed seed: the sampler consumes
+    /// the generator draw for draw as it always has, and
+    /// `corrupt_tails` is `sample_tails` with the positives repeated.
+    #[test]
+    fn sampled_tails_are_pinned_for_a_fixed_seed() {
+        let kg = example_dbpedia();
+        let arrays = TripleArrays::with_reverses(&kg);
+        let sampler = NegativeSampler::new(kg.num_entities(), &arrays);
+        let batch = arrays.select(&[0, 1, 2]);
+        let mut tails = vec![99];
+        sampler.sample_tails(&mut StdRng::seed_from_u64(5), &batch, 2, &mut tails);
+        assert_eq!(tails, PINNED_TAILS);
+        let neg = sampler.corrupt_tails(&mut StdRng::seed_from_u64(5), &batch, 2);
+        assert_eq!(neg.tails, tails);
+        for i in 0..neg.len() {
+            assert_eq!(
+                (neg.heads[i], neg.rels[i]),
+                (batch.heads[i / 2], batch.rels[i / 2])
+            );
+        }
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //! * **Dense** — the retained verification oracle: one tape per batch with
 //!   full parameter tables as leaves, dense gradients, dense Adam.
 //! * **Sparse** — the fast path: each batch splits into
-//!   [`EmbedConfig::effective_threads`] shards, every shard builds its own
-//!   tape over the shared read-only store via external gathers
-//!   ([`TapeSession::gather_param`]), shard gradients merge as sparse
-//!   row-maps in shard order, and one lazy sparse Adam step applies them.
-//!   Rows a batch will read are refreshed first
+//!   [`EmbedConfig::effective_threads`] shards, shard gradients merge as
+//!   sparse row-maps in shard order, and one lazy sparse Adam step applies
+//!   them. Rows a batch will read are refreshed first
 //!   ([`Adam::refresh_rows`]), and the store is flushed at the end of
 //!   training, so the trajectory matches the dense oracle up to
-//!   floating-point reassociation.
+//!   floating-point reassociation. TransE's `O_er` batches run a
+//!   closed-form kernel with the tape's float operations in the tape's
+//!   order (`crate::kernel`); other models build one tape per shard via
+//!   external gathers ([`TapeSession::gather_param`]), as the kernel's
+//!   test oracle does. `O_ec` always runs on a tape.
 //!
 //! The shard count fixes the bits; how many threads run the shards is the
 //! calling thread's `daakg-parallel` worker budget. A trainer called
@@ -29,7 +31,8 @@
 
 use crate::config::{EmbedConfig, TrainMode};
 use crate::entity_class::EntityClassModel;
-use crate::model::KgEmbedding;
+use crate::kernel::ErKernel;
+use crate::model::{KgEmbedding, ModelKind};
 use crate::sampling::{ClassNegativeSampler, NegativeSampler, TripleArrays};
 use daakg_autograd::{unique_rows, Adam, NamedGrads, ParamStore, TapeSession};
 use daakg_graph::{DaakgError, KnowledgeGraph};
@@ -103,6 +106,7 @@ impl EmbedTrainer {
             return stats;
         }
 
+        let mut kernel = self.er_kernel(model, store, prefix);
         let mut order: Vec<usize> = (0..arrays.len()).collect();
         for _epoch in 0..self.cfg.epochs {
             order.shuffle(&mut rng);
@@ -110,7 +114,10 @@ impl EmbedTrainer {
             let mut batches = 0usize;
             for chunk in order.chunks(self.cfg.batch_size) {
                 let batch = arrays.select(chunk);
-                let loss = self.er_step(model, &batch, &neg_sampler, store, prefix, opt, &mut rng);
+                let loss = match &mut kernel {
+                    Some(kernel) => kernel.step(&batch, &neg_sampler, store, opt, &mut rng),
+                    None => self.er_step(model, &batch, &neg_sampler, store, prefix, opt, &mut rng),
+                };
                 epoch_loss += loss as f64;
                 batches += 1;
             }
@@ -142,7 +149,22 @@ impl EmbedTrainer {
         stats
     }
 
-    /// One mini-batch step of `O_er` (Eq. 1):
+    /// The closed-form `O_er` kernel for TransE in [`TrainMode::Sparse`];
+    /// every other model and mode builds tapes.
+    fn er_kernel(
+        &self,
+        model: &dyn KgEmbedding,
+        store: &ParamStore,
+        pre: &str,
+    ) -> Option<ErKernel> {
+        let applies = self.cfg.mode == TrainMode::Sparse && model.kind() == ModelKind::TransE;
+        #[cfg(test)]
+        let applies = applies && !tests::TAPE_ORACLE.get();
+        let tables = model.table_params(pre).filter(|_| applies)?;
+        Some(ErKernel::new(tables, store, &self.cfg))
+    }
+
+    /// One tape-built mini-batch step of `O_er` (Eq. 1):
     /// `Σ |λ_er + f_er(pos) − f_er(neg)|₊`.
     ///
     /// Negative sampling happens before mode dispatch, so dense and sparse
@@ -533,6 +555,146 @@ mod tests {
         let (dense, sparse) = train_both_modes(ModelKind::CompGcn, 4, 2, false);
         assert_close(&dense.0, &sparse.0, 1e-5, "er loss trajectory");
         assert_close(&dense.1, &sparse.1, 1e-4, "final entity table");
+    }
+
+    thread_local! {
+        /// Run this thread's TransE sparse `O_er` batches on the tape, the
+        /// oracle of the closed-form kernel.
+        pub(super) static TAPE_ORACLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// A KG of `n` entities over four relations and three classes, with a
+    /// self-loop on `e0` (the same entity as head and tail).
+    fn typed_kg(n: usize) -> KnowledgeGraph {
+        let mut b = KgBuilder::new("typed");
+        for i in 0..n {
+            let (e, next, far) = (
+                format!("e{i}"),
+                format!("e{}", (i + 1) % n),
+                format!("e{}", (i * 7 + 3) % n),
+            );
+            b.triple_by_name(&e, &format!("r{}", i % 4), &next);
+            b.triple_by_name(&e, &format!("r{}", (i / 4) % 4), &far);
+            b.typing_by_name(&e, &format!("C{}", i % 3));
+        }
+        b.triple_by_name("e0", "r0", "e0");
+        b.build()
+    }
+
+    /// Train TransE once on the closed-form kernel and once on the tape
+    /// oracle from identical parameters (`init` may overwrite rows after
+    /// the seeded init); returns `(stats, store)` for each.
+    fn kernel_and_tape(
+        kg: &KnowledgeGraph,
+        cfg: EmbedConfig,
+        with_ec: bool,
+        init: impl Fn(&mut ParamStore),
+    ) -> [(TrainStats, ParamStore); 2] {
+        [false, true].map(|tape_oracle| {
+            let model = TransE::new(kg, cfg.dim);
+            let ec = with_ec.then(|| EntityClassModel::new(kg.num_classes(), cfg.dim, 4));
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            model.init_params(&mut rng, &mut store, "g.");
+            if let Some(ec) = &ec {
+                ec.init_params(&mut rng, &mut store, "g.");
+            }
+            init(&mut store);
+            let trainer = EmbedTrainer::new(cfg).unwrap();
+            let mut opt = Adam::with_lr(cfg.lr);
+            TAPE_ORACLE.set(tape_oracle);
+            let stats = trainer.train(&model, ec.as_ref(), kg, &mut store, "g.", &mut opt);
+            TAPE_ORACLE.set(false);
+            (stats, store)
+        })
+    }
+
+    fn assert_kernel_matches_tape(runs: &[(TrainStats, ParamStore); 2], what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let [(ks, kstore), (ts, tstore)] = runs;
+        assert!(!ks.er_losses.is_empty(), "{what}: nothing trained");
+        assert_eq!(
+            bits(&ks.er_losses),
+            bits(&ts.er_losses),
+            "{what}: O_er losses"
+        );
+        assert_eq!(
+            bits(&ks.ec_losses),
+            bits(&ts.ec_losses),
+            "{what}: O_ec losses"
+        );
+        assert_eq!(kstore.len(), tstore.len(), "{what}: parameter count");
+        for ((name, k), (_, t)) in kstore.iter().zip(tstore.iter()) {
+            assert_eq!(bits(k.as_slice()), bits(t.as_slice()), "{what}: {name}");
+        }
+    }
+
+    /// The closed-form TransE kernel trains every parameter and every loss
+    /// to the tape oracle's bits, at every shard count, with and without
+    /// the interleaved `O_ec` pass, across seeds.
+    #[test]
+    fn transe_kernel_matches_the_tape_oracle_bitwise() {
+        let kg = typed_kg(40);
+        for seed in [1, 2, 31] {
+            for threads in 0..=3 {
+                for with_ec in [false, true] {
+                    let cfg = EmbedConfig {
+                        epochs: 3,
+                        batch_size: 24,
+                        dim: 8,
+                        class_dim: 4,
+                        seed,
+                        threads,
+                        ..EmbedConfig::default()
+                    };
+                    let runs = kernel_and_tape(&kg, cfg, with_ec, |_| {});
+                    let what = format!("seed={seed} threads={threads} ec={with_ec}");
+                    assert_kernel_matches_tape(&runs, &what);
+                }
+            }
+        }
+    }
+
+    /// Adversarial batches: a self-loop whose relation row is zero (its
+    /// score `‖h + r − t‖` is exactly 0, so the norm backward skips it),
+    /// negatives that all score exactly the margin (hinge exactly 0),
+    /// rows repeated within a shard, and batches smaller than the shard
+    /// count.
+    #[test]
+    fn transe_kernel_matches_the_tape_oracle_on_adversarial_batches() {
+        let mut b = KgBuilder::new("adversarial");
+        b.triple_by_name("a", "loop", "a");
+        b.triple_by_name("a", "next", "b");
+        b.triple_by_name("b", "next", "c");
+        let kg = b.build();
+        let (a, lp) = (
+            kg.entity_by_name("a").unwrap().index(),
+            kg.relation_by_name("loop").unwrap().index(),
+        );
+        // `a` is a unit vector and `b`, `c` are zero, so every negative of
+        // the self-loop scores exactly 1.0 = the margin.
+        let init = |store: &mut ParamStore| {
+            let ents = store.get_mut("g.ent");
+            for r in 0..ents.rows() {
+                ents.row_mut(r).fill(0.0);
+            }
+            ents.row_mut(a)[0] = 1.0;
+            let rels = store.get_mut("g.rel");
+            rels.row_mut(lp).fill(0.0);
+            rels.row_mut(lp + kg.num_relations()).fill(0.0);
+        };
+        for threads in 1..=3 {
+            let cfg = EmbedConfig {
+                epochs: 2,
+                batch_size: 2,
+                dim: 4,
+                margin_er: 1.0,
+                threads,
+                ..EmbedConfig::default()
+            };
+            let runs = kernel_and_tape(&kg, cfg, false, init);
+            assert_kernel_matches_tape(&runs, &format!("threads={threads}"));
+        }
     }
 
     #[test]

@@ -106,6 +106,9 @@ impl KgEmbedding for TransE {
         })
     }
 
+    /// The tape oracle of the closed-form `O_er` kernel (`crate::kernel`),
+    /// which trains TransE everywhere else.
+    #[cfg(test)]
     fn score_triples_sparse(
         &self,
         s: &mut TapeSession,
@@ -115,18 +118,11 @@ impl KgEmbedding for TransE {
         rel_ids: &[u32],
         tails: &[u32],
     ) -> Var {
-        // The whole score `‖h + r − t‖` is one fused tape node: no
-        // batch×dim intermediates, and backward scatters straight into the
-        // sparse row-gradients of the two tables.
         let tp = self.table_params(prefix).expect("TransE is a table model");
-        s.gather_l2_param(
-            store,
-            &[
-                (&tp.ent, heads, 1.0),
-                (&tp.rel, rel_ids, 1.0),
-                (&tp.ent, tails, -1.0),
-            ],
-        )
+        let h = s.gather_param(store, &tp.ent, heads);
+        let r = s.gather_param(store, &tp.rel, rel_ids);
+        let t = s.gather_param(store, &tp.ent, tails);
+        Self::score_from_vars(&mut s.graph, h, r, t)
     }
 
     fn entity_matrix(&self, store: &ParamStore, prefix: &str) -> Tensor {
