@@ -42,6 +42,7 @@ use daakg_index::scan::{
     normalize_rows_cosine, scan_block, scan_block_observed, top_k_of_scores, ScoreSink,
     TopKSelector,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Number of query rows scored per blocked matmul. 64 query rows × 10k
@@ -209,7 +210,21 @@ impl BatchedSimilarity {
     /// memory traffic is one candidate-matrix pass per `QUERY_BLOCK`
     /// queries instead of one per query.
     pub fn top_k_block(&self, queries: &[u32], k: usize) -> Vec<Vec<(u32, f32)>> {
-        let d = self.queries.cols();
+        self.top_k_cols(queries, 0..self.num_candidates(), k)
+    }
+
+    /// [`BatchedSimilarity::top_k_block`] over the candidates `cols` only,
+    /// with global ids: the columns are scanned in place in the transposed
+    /// slab. A score does not depend on its column range, so the
+    /// partitions of a serving set score bitwise what a whole-slab scan
+    /// does.
+    pub(crate) fn top_k_cols(
+        &self,
+        queries: &[u32],
+        cols: Range<usize>,
+        k: usize,
+    ) -> Vec<Vec<(u32, f32)>> {
+        let (d, n) = (self.queries.cols(), self.num_candidates());
         let mut out = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(QUERY_BLOCK) {
             let panel = self.queries.gather_rows(chunk);
@@ -219,9 +234,9 @@ impl BatchedSimilarity {
                 panel.as_slice(),
                 d,
                 chunk.len(),
-                self.candidates_t.as_slice(),
-                self.num_candidates(),
-                &self.identity_ids,
+                &self.candidates_t.as_slice()[cols.start..],
+                n,
+                &self.identity_ids[cols.clone()],
                 &mut selectors,
             );
             out.extend(selectors.into_iter().map(TopKSelector::into_sorted));

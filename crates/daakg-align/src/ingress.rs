@@ -57,8 +57,7 @@
 //! serve: at saturation the last admitted query waits roughly
 //! `max_queue / throughput`.
 
-use crate::service::{Ranking, Served, Versioned};
-use crate::shard::ShardCore;
+use crate::service::{AlignmentService, Ranking, Served, Versioned};
 use daakg_graph::DaakgError;
 use daakg_index::{QueryMode, QueryOptions};
 use daakg_telemetry::{Counter, EventJournal, EventKind, Gauge, HistogramHandle, Telemetry};
@@ -433,7 +432,7 @@ struct IngressShared {
     degrade_engaged: AtomicBool,
 }
 
-/// What the ingress worker dispatches against. `ShardCore` in
+/// What the ingress worker dispatches against. The service in
 /// production; chaos tests inject backends that panic or stall on
 /// command.
 pub(crate) trait IngressBackend: Send + Sync + 'static {
@@ -448,9 +447,9 @@ pub(crate) trait IngressBackend: Send + Sync + 'static {
     fn has_index(&self) -> bool;
 }
 
-impl IngressBackend for ShardCore {
+impl IngressBackend for AlignmentService {
     fn query(&self, e1: u32, opts: QueryOptions) -> Result<Versioned<Ranking>, DaakgError> {
-        ShardCore::query(self, e1, opts)
+        AlignmentService::query(self, e1, opts)
     }
 
     fn query_batch(
@@ -458,11 +457,11 @@ impl IngressBackend for ShardCore {
         queries: &[u32],
         opts: QueryOptions,
     ) -> Result<Versioned<Vec<Ranking>>, DaakgError> {
-        ShardCore::query_batch(self, queries, opts)
+        AlignmentService::query_batch(self, queries, opts)
     }
 
     fn has_index(&self) -> bool {
-        ShardCore::has_index(self)
+        self.serving().index.is_some()
     }
 }
 
@@ -592,6 +591,7 @@ impl Ingress {
 
     /// Enqueue one (pre-validated) query and block until its batch is
     /// answered.
+    #[cfg(test)]
     pub(crate) fn submit(
         &self,
         e1: u32,

@@ -36,9 +36,11 @@
 //!   from, skipping corrupt or torn files with typed diagnostics,
 //! * [`query`] — [`QueryExecutor`], the unified options-based query
 //!   surface both serving front-ends implement,
-//! * [`shard`] — [`ShardedService`], scatter-gather serving: the corpus
-//!   partitioned across N shards (each with its own slab and per-shard
-//!   IVF index), merged bitwise-identically to the unsharded scan,
+//! * [`shard`] — the partitioned serving core every query runs through
+//!   (one partition for an [`AlignmentService`], column ranges of the
+//!   snapshot's one slab with per-partition IVF indexes, built at each
+//!   publish) and [`ShardedService`], its `n`-partition front-end, merged
+//!   bitwise-identically to the unsharded scan,
 //! * [`ingress`] — the micro-batching ingress coalescing concurrent
 //!   single queries into batched kernel dispatches under a configurable
 //!   time/size window ([`IngressConfig`]) — with overload resilience:

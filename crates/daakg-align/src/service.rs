@@ -50,6 +50,7 @@ use crate::delta::{
 use crate::ingress::{lock_recover, IngressStats};
 use crate::joint::{JointModel, LabeledMatches};
 use crate::persist::{DurableRegistry, RecoveryReport};
+use crate::shard::ServingSet;
 use crate::snapshot::{AlignmentSnapshot, SnapshotParts};
 use crate::telem::ServiceTelemetry;
 use daakg_autograd::Tensor;
@@ -57,7 +58,7 @@ use daakg_embed::warm_start_row_observed;
 use daakg_graph::{DaakgError, KnowledgeGraph};
 use daakg_index::scan::normalize_rows_cosine;
 use daakg_index::{IvfConfig, QueryMode, QueryOptions};
-use daakg_telemetry::{EventKind, Telemetry, TelemetryConfig};
+use daakg_telemetry::{EventKind, HistogramHandle, Telemetry, TelemetryConfig};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -313,7 +314,7 @@ struct LiveState {
 }
 
 /// The versioned snapshot registry: serialized publication, retained
-/// history, exact pruning.
+/// history, exact pruning, and the newest version's serving set.
 ///
 /// One mutex guards the ordered history of publications; its newest
 /// entry is the current version. Every operation holds the lock only to
@@ -326,6 +327,13 @@ struct LiveState {
 /// Publishers assign versions under the same lock, so versions are dense
 /// and monotone even under concurrent publishes, and the current entry
 /// always carries the highest one.
+///
+/// Every publish first builds the new version's serving set (its corpus
+/// partitions, see [`crate::shard`]) on the publishing thread, outside
+/// the lock, and installs it with the version in one step; readers take
+/// both in one lock acquisition, so no query ever builds one. Only the
+/// newest version has a set here: a reader still on an older version
+/// holds that version's set through its own `Arc`.
 ///
 /// # Reclamation
 ///
@@ -340,18 +348,30 @@ struct LiveState {
 /// Pruned entries are dropped after the lock is released, so freeing a
 /// snapshot's tensors never stalls a reader.
 pub struct SnapshotRegistry {
-    /// Every retained publication, ascending by version; never empty.
-    /// Each update leaves the list valid, so a poisoned lock is recovered.
-    history: Mutex<Vec<VersionedSnapshot>>,
+    /// Each update leaves the state valid, so a poisoned lock is recovered.
+    state: Mutex<Published>,
     /// Publications to keep at publish time; `usize::MAX` = all of them.
     retention: AtomicUsize,
+    /// Corpus partitions every serving set is built with. Stored before
+    /// [`SnapshotRegistry::set_shards`] takes the lock and re-checked by
+    /// publishers under it, so a set built for a stale count is never
+    /// installed.
+    shards: AtomicUsize,
+    /// `stage_serving_build_ns`: one sample per serving-set build.
+    build_span: HistogramHandle,
 }
 
-/// A history entry: `snapshot` published as `version`.
-fn entry(version: u64, snapshot: AlignmentSnapshot) -> VersionedSnapshot {
-    VersionedSnapshot {
-        version: SnapshotVersion(version),
-        snapshot: Arc::new(snapshot),
+/// The registry's locked state.
+struct Published {
+    /// Every retained publication, ascending by version; never empty.
+    history: Vec<VersionedSnapshot>,
+    /// The serving set of the newest entry of `history`.
+    serving: Arc<ServingSet>,
+}
+
+impl Published {
+    fn latest(&self) -> &VersionedSnapshot {
+        self.history.last().expect("history is never empty")
     }
 }
 
@@ -374,14 +394,32 @@ impl SnapshotRegistry {
     /// so version numbering resumes monotonically across restarts even
     /// when corrupt intermediate versions were skipped.
     pub fn from_entries(entries: Vec<(u64, AlignmentSnapshot)>) -> Self {
+        Self::observed(entries, HistogramHandle::default())
+    }
+
+    /// [`SnapshotRegistry::from_entries`], timing serving-set builds into
+    /// `build_span`.
+    pub(crate) fn observed(
+        entries: Vec<(u64, AlignmentSnapshot)>,
+        build_span: HistogramHandle,
+    ) -> Self {
         assert!(
             !entries.is_empty() && entries.windows(2).all(|w| w[0].0 < w[1].0),
             "from_entries needs a non-empty history, ascending by version"
         );
-        let history = entries.into_iter().map(|(v, s)| entry(v, s)).collect();
+        let history: Vec<_> = entries
+            .into_iter()
+            .map(|(v, s)| VersionedSnapshot {
+                version: SnapshotVersion(v),
+                snapshot: Arc::new(s),
+            })
+            .collect();
+        let serving = ServingSet::build(&history[history.len() - 1].snapshot, 1, &build_span);
         Self {
-            history: Mutex::new(history),
+            state: Mutex::new(Published { history, serving }),
             retention: AtomicUsize::new(usize::MAX),
+            shards: AtomicUsize::new(1),
+            build_span,
         }
     }
 
@@ -416,31 +454,77 @@ impl SnapshotRegistry {
         self.push(snapshot, Some(expected))
     }
 
-    /// The one publish path: under the lock, check `expected`, assign the
-    /// next version, append, and apply retention; drop the pruned entries
-    /// after unlocking.
+    /// The one publish path: build the serving set, then under the lock
+    /// check `expected`, assign the next version, append it with its set,
+    /// and apply retention; drop the pruned entries after unlocking. A set
+    /// built while [`SnapshotRegistry::set_shards`] changed the partition
+    /// count is rebuilt.
     fn push(
         &self,
         snapshot: AlignmentSnapshot,
         expected: Option<SnapshotVersion>,
     ) -> Option<VersionedSnapshot> {
-        let mut history = lock_recover(&self.history);
-        let latest = history.last().expect("history is never empty").version;
-        if expected.is_some_and(|v| v != latest) {
-            return None;
+        let snapshot = Arc::new(snapshot);
+        loop {
+            if expected.is_some_and(|v| v != self.version()) {
+                return None;
+            }
+            let shards = self.shards.load(Ordering::Acquire);
+            let serving = ServingSet::build(&snapshot, shards, &self.build_span);
+            let mut state = lock_recover(&self.state);
+            let latest = state.latest().version;
+            if expected.is_some_and(|v| v != latest) {
+                return None;
+            }
+            if self.shards.load(Ordering::Acquire) != shards {
+                continue;
+            }
+            let published = VersionedSnapshot {
+                version: SnapshotVersion(latest.0 + 1),
+                snapshot: Arc::clone(&snapshot),
+            };
+            state.history.push(published.clone());
+            state.serving = serving;
+            let pruned = cut(&mut state.history, self.retention.load(Ordering::Relaxed));
+            drop(state);
+            drop(pruned);
+            return Some(published);
         }
-        let published = entry(latest.0 + 1, snapshot);
-        history.push(published.clone());
-        let pruned = cut(&mut history, self.retention.load(Ordering::Relaxed));
-        drop(history);
-        drop(pruned);
-        Some(published)
+    }
+
+    /// Build every later serving set with `shards` corpus partitions, and
+    /// re-stamp the current version with one.
+    pub(crate) fn set_shards(&self, shards: usize) {
+        self.shards.store(shards, Ordering::Release);
+        loop {
+            let (cur, serving) = self.serving();
+            if serving.shards() == shards {
+                return;
+            }
+            let rebuilt = ServingSet::build(&cur.snapshot, shards, &self.build_span);
+            let mut state = lock_recover(&self.state);
+            if state.latest().version == cur.version {
+                state.serving = rebuilt;
+                return;
+            }
+        }
+    }
+
+    /// The corpus partition count of the serving sets.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards.load(Ordering::Acquire)
+    }
+
+    /// The latest publication and its serving set, in one lock
+    /// acquisition.
+    pub(crate) fn serving(&self) -> (VersionedSnapshot, Arc<ServingSet>) {
+        let state = lock_recover(&self.state);
+        (state.latest().clone(), Arc::clone(&state.serving))
     }
 
     /// The latest publication — one short lock and one `Arc` clone.
     pub fn current(&self) -> VersionedSnapshot {
-        let history = lock_recover(&self.history);
-        history.last().expect("history is never empty").clone()
+        lock_recover(&self.state).latest().clone()
     }
 
     /// The latest published version.
@@ -450,9 +534,12 @@ impl SnapshotRegistry {
 
     /// A specific retained publication, if it has not been pruned.
     pub fn get(&self, version: SnapshotVersion) -> Option<VersionedSnapshot> {
-        let history = lock_recover(&self.history);
-        let idx = history.binary_search_by_key(&version, |e| e.version).ok()?;
-        Some(history[idx].clone())
+        let state = lock_recover(&self.state);
+        let idx = state
+            .history
+            .binary_search_by_key(&version, |e| e.version)
+            .ok()?;
+        Some(state.history[idx].clone())
     }
 
     /// [`SnapshotRegistry::get`] with a typed diagnosis instead of
@@ -472,7 +559,7 @@ impl SnapshotRegistry {
 
     /// Number of retained publications.
     pub fn retained(&self) -> usize {
-        lock_recover(&self.history).len()
+        lock_recover(&self.state).history.len()
     }
 
     /// Set the at-publish retention policy: after each publish, keep only
@@ -486,7 +573,7 @@ impl SnapshotRegistry {
     /// the current one is always kept) and return how many were dropped.
     /// Readers holding a dropped version keep it alive through its `Arc`.
     pub fn prune(&self, keep: usize) -> usize {
-        let pruned = cut(&mut lock_recover(&self.history), keep);
+        let pruned = cut(&mut lock_recover(&self.state).history, keep);
         pruned.len()
     }
 }
@@ -567,8 +654,9 @@ impl AlignmentService {
         model.set_spans(telem.training.clone());
         let mut initial = model.snapshot(&kg1, &kg2);
         initial.set_index_config(serving.index.clone());
+        let registry = SnapshotRegistry::observed(vec![(1, initial)], telem.serving_build.clone());
         let svc = Self {
-            registry: Arc::new(SnapshotRegistry::new(initial)),
+            registry: Arc::new(registry),
             model: Mutex::new(model),
             kg1,
             kg2,
@@ -618,10 +706,10 @@ impl AlignmentService {
         let mut model = JointModel::new(cfg, &kg1, &kg2)?;
         model.set_spans(telem.training.clone());
         let fresh = entries.is_empty();
-        let registry = if fresh {
+        let entries = if fresh {
             let mut initial = model.snapshot(&kg1, &kg2);
             initial.set_index_config(serving.index.clone());
-            SnapshotRegistry::new(initial)
+            vec![(1, initial)]
         } else {
             for (_, snap) in &mut entries {
                 // Reconcile a serving-config change across the restart:
@@ -633,8 +721,9 @@ impl AlignmentService {
                     snap.set_index_config(serving.index.clone());
                 }
             }
-            SnapshotRegistry::from_entries(entries)
+            entries
         };
+        let registry = SnapshotRegistry::observed(entries, telem.serving_build.clone());
         let svc = Self {
             registry: Arc::new(registry),
             model: Mutex::new(model),
@@ -804,6 +893,17 @@ impl AlignmentService {
         self.registry.set_retention(keep);
     }
 
+    /// Serve from `shards` corpus partitions from now on (see
+    /// [`crate::ShardedService::new`]).
+    pub(crate) fn set_shards(&self, shards: usize) {
+        self.registry.set_shards(shards);
+    }
+
+    /// The corpus partition count of the serving sets.
+    pub(crate) fn shards(&self) -> usize {
+        self.registry.shards()
+    }
+
     pub(crate) fn check_query(&self, e1: u32) -> Result<(), DaakgError> {
         let bound = self.kg1.num_entities();
         if (e1 as usize) < bound {
@@ -813,14 +913,9 @@ impl AlignmentService {
         }
     }
 
-    /// Validate a per-call mode against this service's index presence and
-    /// extract the probe width (`None` = exact).
-    pub(crate) fn resolve_mode(&self, mode: QueryMode) -> Result<Option<usize>, DaakgError> {
-        mode.validate(self.serving.index.is_some())?;
-        Ok(match mode {
-            QueryMode::Exact => None,
-            QueryMode::Approx { nprobe } => Some(nprobe),
-        })
+    /// Validate a per-call mode against this service's index presence.
+    pub(crate) fn check_mode(&self, mode: QueryMode) -> Result<(), DaakgError> {
+        mode.validate(self.serving.index.is_some())
     }
 
     /// The unified single-query entry point: answer `e1` under `opts` on
@@ -830,54 +925,27 @@ impl AlignmentService {
     /// covers the candidates of the `nprobe` probed inverted lists — the
     /// unscanned tail is absent, not approximated, and `nprobe == nlist`
     /// reproduces the exact answer). Runs on the version it grabs,
-    /// holding no lock.
+    /// holding no lock. The batch of one query
+    /// ([`AlignmentService::query_batch`]).
     pub fn query(&self, e1: u32, opts: QueryOptions) -> Result<Versioned<Ranking>, DaakgError> {
-        self.check_query(e1)?;
-        let nprobe = self.resolve_mode(opts.mode)?;
-        let telem = self.telem();
-        let cur = self.current();
-        let mut value = match (opts.k, nprobe) {
-            (None, None) => {
-                let _span = telem.exact_scan.span();
-                cur.snapshot.rank_entities(e1)
-            }
-            (Some(k), None) => {
-                let _span = telem.exact_scan.span();
-                cur.snapshot.top_k_entities(e1, k)
-            }
-            (None, Some(nprobe)) => cur
-                .snapshot
-                .rank_entities_approx_observed(e1, nprobe, &telem.search)
-                .expect("validated: index configured"),
-            (Some(k), Some(nprobe)) => cur
-                .snapshot
-                .top_k_entities_approx_observed(e1, k, nprobe, &telem.search)
-                .expect("validated: index configured"),
-        };
-        let mut deltas_merged = 0u32;
-        let n2 = cur.snapshot.entity_counts().1;
-        if let Some(slab) = self.live_slab_for(cur.version.get()) {
-            let _span = telem.delta_merge.span();
-            let q = cur.snapshot.entity_engine().normalized_query(e1);
-            value = slab
-                .merge_into(q, 1, opts.k, n2, vec![value])
-                .pop()
-                .expect("one query in, one ranking out");
-            deltas_merged = slab.len() as u32;
-        }
+        let answer = self.query_batch(std::slice::from_ref(&e1), opts)?;
         Ok(Versioned {
-            version: cur.version,
-            value,
-            deltas_merged,
+            version: answer.version,
+            value: answer
+                .value
+                .into_iter()
+                .next()
+                .expect("one query in, one ranking out"),
+            deltas_merged: answer.deltas_merged,
         })
     }
 
     /// The unified batch entry point: answer every query under `opts`,
-    /// all on **one** version (a single grab covers the whole batch),
-    /// sharded across worker threads via `daakg-parallel`. Exact shards
-    /// run the blocked panel scan; approximate shards run one IVF probe
-    /// per query (already inside a worker shard, so the index's own batch
-    /// entry point is deliberately not nested here).
+    /// all on **one** version (a single grab covers the whole batch).
+    /// The version's serving set splits the work into corpus partitions
+    /// × query ranges across `daakg-parallel` workers (see
+    /// [`crate::shard`]); the live delta slab, when one is pending against
+    /// the version, is merged into the answers here.
     pub fn query_batch(
         &self,
         queries: &[u32],
@@ -886,50 +954,19 @@ impl AlignmentService {
         for &q in queries {
             self.check_query(q)?;
         }
-        let nprobe = self.resolve_mode(opts.mode)?;
+        self.check_mode(opts.mode)?;
         let telem = self.telem();
-        let cur = self.current();
+        let (cur, set) = self.registry.serving();
         let snap = &cur.snapshot;
-        // Build the index before fanning out, so shards never race the
-        // one-time construction inside their query loops.
-        if nprobe.is_some() {
-            snap.ivf_index();
-        }
-        let shards = daakg_parallel::num_threads();
-        let mut value: Vec<Ranking> = Vec::with_capacity(queries.len());
-        for shard in
-            daakg_parallel::par_map_ranges(queries.len(), shards, |r| match (opts.k, nprobe) {
-                (Some(k), None) => {
-                    let _span = telem.exact_scan.span();
-                    snap.top_k_entities_block(&queries[r], k)
-                }
-                (None, None) => {
-                    let _span = telem.exact_scan.span();
-                    queries[r].iter().map(|&q| snap.rank_entities(q)).collect()
-                }
-                (k, Some(nprobe)) => queries[r]
-                    .iter()
-                    .map(|&q| match k {
-                        Some(k) => snap
-                            .top_k_entities_approx_observed(q, k, nprobe, &telem.search)
-                            .expect("validated: index configured"),
-                        None => snap
-                            .rank_entities_approx_observed(q, nprobe, &telem.search)
-                            .expect("validated: index configured"),
-                    })
-                    .collect(),
-            })
-        {
-            value.extend(shard);
-        }
+        let mut value = set.answer(snap, queries, opts, telem);
+        // Keyed by the pinned version, so a just-published retrain never
+        // picks up the superseded slab.
         let mut deltas_merged = 0u32;
-        let n2 = snap.entity_counts().1;
         if let Some(slab) = self.live_slab_for(cur.version.get()) {
             let _span = telem.delta_merge.span();
-            let panel = snap
-                .entity_engine()
-                .normalized_queries()
-                .gather_rows(queries);
+            let panel = snap.entity_engine().normalized_queries();
+            let panel = panel.gather_rows(queries);
+            let n2 = snap.entity_counts().1;
             value = slab.merge_into(panel.as_slice(), queries.len(), opts.k, n2, value);
             deltas_merged = slab.len() as u32;
         }

@@ -1,410 +1,212 @@
-//! Sharded scatter-gather serving: [`ShardedService`].
+//! The partitioned serving core and its sharded front-end,
+//! [`ShardedService`].
 //!
-//! One [`AlignmentService`] equals one corpus
-//! scanned as a single slab. This module partitions the right-KG corpus
-//! across `N` shards — each holding its own copy of the snapshot's
-//! normalized candidate rows (transposed for the scan kernel) and its own
-//! per-shard IVF index — and answers queries by scattering the scan
-//! across shards via [`daakg_parallel::par_map_ranges`], then merging the
-//! per-shard candidates with the bounded-heap
+//! Every query of an [`AlignmentService`] — Exact or Approx, top-k or full
+//! rank, single or batch — runs through one mechanism with one parameter,
+//! the shard count: the version's `ServingSet` splits the right-KG
+//! corpus into partitions, and a batch is answered as partitions × query
+//! ranges on [`daakg_parallel::par_map_ranges`] workers. A partition is a
+//! column range `base..base + len` of the snapshot engine's own
+//! transposed candidate slab, scanned in place (the slab's row stride is
+//! the scan kernel's `ld`), plus that range's IVF index. An
+//! [`AlignmentService`] serves from one partition, whose index is the
+//! snapshot's own [`AlignmentSnapshot::ivf_index`];
+//! [`ShardedService::new`] gives it `n`, each with a per-partition IVF
+//! index built from the partition's rows in place. With one partition
+//! the query ranges' lists are the answers; with more, each query's
+//! per-partition lists merge through one more bounded
 //! [`TopKSelector`].
 //!
 //! # Bitwise-identical exact answers
 //!
-//! Sharded `Exact` results reproduce the unsharded scan **bitwise, ties
-//! included**, by construction:
+//! Answers reproduce the one-partition scan **bitwise, ties included**,
+//! at every shard count, by construction:
 //!
-//! * row normalization is per-row, so slicing the already-normalized
-//!   candidate matrix yields exactly the rows the unsharded engine scans;
+//! * every partition scans the engine's normalized rows themselves — no
+//!   copy, so no chance of a differently rounded one;
 //! * the scan kernel computes each (query, candidate) dot product by the
 //!   same sequential accumulation over the depth dimension regardless of
-//!   the candidate's column position, so per-shard scores equal unsharded
-//!   scores bitwise;
-//! * each shard scans with the candidates' **global** ids threaded
-//!   through the kernel's id-remap slice, and
-//!   [`TopKSelector`] selection is
-//!   push-order-independent under *(score desc, id asc)* — so merging the
-//!   per-shard top-k lists through one more selector yields exactly the
-//!   unsharded top-k (every globally retained candidate is necessarily in
-//!   its own shard's top-k).
+//!   the candidate's column position or the slab's stride, so per-partition
+//!   scores equal whole-slab scores bitwise;
+//! * each partition scans with the candidates' **global** ids, and
+//!   [`TopKSelector`] selection is push-order-independent under *(score
+//!   desc, id asc)* — so merging the per-partition top-k lists yields
+//!   exactly the one-partition top-k (every globally retained candidate
+//!   is necessarily in its own partition's top-k).
 //!
 //! # One coherent version per request
 //!
-//! Every query pins **one** [`VersionedSnapshot`] up front and resolves
-//! the shard set for exactly that version; concurrent publishes never mix
-//! shard slabs of different versions into one answer (the shard-set cache
-//! is keyed by version, and a request that pinned version `v` uses a set
-//! built from `v`'s snapshot even while a newer set is being installed).
+//! Each publish builds its version's serving set before any reader can
+//! see the version, and the registry hands a reader the version and its
+//! set in one lock acquisition ([`crate::SnapshotRegistry`]) — so no query
+//! builds a set, and none mixes partitions of different versions.
 //!
 //! With a [`crate::IngressConfig`], a micro-batching ingress sits in
 //! front of the single-query path: see [`crate::ingress`].
 
-use crate::ingress::{lock_recover, Ingress, IngressConfig, IngressStats, PendingAnswer};
-use crate::service::{
-    AlignmentService, Ranking, Served, ServiceHealth, Versioned, VersionedSnapshot,
-};
+use crate::batched::BatchedSimilarity;
+use crate::ingress::{Ingress, IngressConfig, IngressStats, PendingAnswer};
+use crate::service::{AlignmentService, Ranking, Served, ServiceHealth, Versioned};
 use crate::snapshot::AlignmentSnapshot;
-use daakg_autograd::Tensor;
+use crate::telem::ServiceTelemetry;
 use daakg_graph::DaakgError;
-use daakg_index::{scan_block, IvfIndex, QueryMode, QueryOptions, SearchSpans, TopKSelector};
-use daakg_telemetry::{HistogramHandle, Telemetry};
-use std::sync::{Arc, Mutex};
+use daakg_index::{IvfIndex, QueryMode, QueryOptions, SearchSpans, TopKSelector};
+use daakg_telemetry::HistogramHandle;
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Queries per gathered panel of the sharded scan — the same blocking the
-/// unsharded engine uses, so panel shapes (and thus cache behavior) match.
-const QUERY_BLOCK: usize = 64;
-
-/// One shard's slice of the corpus: a transposed copy of its normalized
-/// candidate rows, the global ids those columns map back to, and the
-/// shard-local IVF index when the service is configured for approximate
-/// serving.
-struct ShardSlab {
-    /// Global id of this shard's first candidate.
-    base: usize,
-    /// Number of candidates in this shard.
-    len: usize,
-    /// The shard's normalized candidate block, transposed: `d` rows of
-    /// `len` floats — the layout [`scan_block`] consumes.
-    ct: Vec<f32>,
-    /// Global candidate ids of the shard's columns
-    /// (`base..base + len`), threaded through the kernel's id remap so
-    /// selectors hold global ids with globally consistent tie-breaking.
-    ids: Vec<u32>,
-    /// Shard-local IVF index over the shard's rows; its search results
-    /// are shard-local ids offset by `base` at merge time.
+/// One partition of a serving set: the candidate columns `cols` of the
+/// snapshot's transposed slab, and — for sets of two or more partitions
+/// over an indexed snapshot — the IVF index over those rows, whose local
+/// ids are offset by `cols.start` into the global id space.
+struct Partition {
+    cols: Range<usize>,
     index: Option<Arc<IvfIndex>>,
 }
 
-impl ShardSlab {
-    fn build(snap: &AlignmentSnapshot, base: usize, len: usize) -> Self {
-        let engine = snap.entity_engine();
-        let nc = engine.normalized_candidates();
-        let d = nc.cols();
-        let src = nc.as_slice();
-        // Transpose the shard's rows into the kernel's column-major-block
-        // layout. Normalization is per-row, so these are bitwise the rows
-        // the unsharded engine scans.
-        let mut ct = vec![0.0f32; d * len];
-        for j in 0..len {
-            let row = &src[(base + j) * d..(base + j + 1) * d];
-            for (l, &v) in row.iter().enumerate() {
-                ct[l * len + j] = v;
-            }
-        }
-        let ids: Vec<u32> = (base as u32..(base + len) as u32).collect();
-        // The shard's own index, under the service-wide configuration
-        // (`nlist` clamps to the shard size). Built eagerly: the slab
-        // itself is built lazily once per version, so this is the
-        // one-time cost the snapshot's whole-corpus index also pays.
-        let index = snap.index_config().map(|cfg| {
-            let rows = Tensor::from_vec(len, d, src[base * d..(base + len) * d].to_vec());
-            Arc::new(IvfIndex::build(&rows, cfg))
-        });
-        Self {
-            base,
-            len,
-            ct,
-            ids,
-            index,
-        }
-    }
-
-    /// Scan `nq` panel rows (`ps`, `nq × d`) against this shard,
-    /// returning each query's shard-local top-`k` with **global** ids.
-    fn scan(&self, ps: &[f32], d: usize, nq: usize, k: usize) -> Vec<Ranking> {
-        let mut selectors: Vec<TopKSelector> = (0..nq)
-            .map(|_| TopKSelector::new(k.min(self.len)))
-            .collect();
-        scan_block(ps, d, nq, &self.ct, self.len, &self.ids, &mut selectors);
-        selectors
-            .into_iter()
-            .map(TopKSelector::into_sorted)
-            .collect()
-    }
-
-    /// Probe this shard's IVF index, offsetting the shard-local result
-    /// ids back into the global id space. Probe and list-scan durations
-    /// go into `spans` (no-op handles cost nothing).
-    fn search(&self, query: &[f32], k: usize, nprobe: usize, spans: &SearchSpans) -> Ranking {
-        let index = self
-            .index
-            .as_ref()
-            .expect("validated: index configured before Approx dispatch");
-        index
-            .search_observed(query, k, nprobe, spans)
-            .into_iter()
-            .map(|(id, s)| (self.base as u32 + id, s))
-            .collect()
-    }
-}
-
-/// The shard slabs of one snapshot version.
-struct ShardSet {
-    /// Embedding dimension of the scan.
-    dim: usize,
-    /// Total candidates across shards.
-    total: usize,
-    slabs: Vec<ShardSlab>,
-}
-
-impl ShardSet {
-    fn build(snap: &AlignmentSnapshot, shards: usize) -> Self {
-        let engine = snap.entity_engine();
-        let n = engine.num_candidates();
-        let dim = engine.normalized_candidates().cols();
-        let ranges = daakg_parallel::split_ranges(n, shards.max(1));
-        let slabs = daakg_parallel::par_map_ranges(ranges.len(), ranges.len(), |sr| {
-            sr.map(|si| {
-                let r = &ranges[si];
-                ShardSlab::build(snap, r.start, r.len())
-            })
-            .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        Self {
-            dim,
-            total: n,
-            slabs,
-        }
-    }
-
-    /// Merge per-shard rankings for one query through one more bounded
-    /// selector: selection is push-order-independent under *(score desc,
-    /// id asc)*, so this reproduces the unsharded scan's list bitwise.
-    fn merge(&self, k: Option<usize>, per_shard: impl Iterator<Item = Ranking>) -> Ranking {
-        let bound = k.map_or(self.total, |k| k.min(self.total));
-        let mut sel = TopKSelector::new(bound);
-        for shard in per_shard {
-            for (id, s) in shard {
-                sel.push(id, s);
-            }
-        }
-        sel.into_sorted()
-    }
-}
-
-/// The shared scatter-gather state: the wrapped service plus the
-/// per-version shard-set cache. Split out of [`ShardedService`] so the
-/// ingress worker thread can hold it without a reference cycle.
-pub(crate) struct ShardCore {
-    service: AlignmentService,
-    shards: usize,
-    /// Latest shard set, keyed by snapshot version. One entry suffices:
-    /// a request that pinned an older version while a publish was
-    /// in-flight rebuilds its own set rather than mixing versions.
-    cache: Mutex<Option<(u64, Arc<ShardSet>)>>,
-    /// Per-shard scatter-scan latency (`stage_shard_scan_ns`): one
-    /// sample per slab per dispatch.
-    scan_span: HistogramHandle,
-    /// Gather-merge latency (`stage_shard_merge_ns`): one sample per
-    /// dispatch.
-    merge_span: HistogramHandle,
-}
-
-impl ShardCore {
-    /// The shard set of exactly `cur`'s version, building (and caching)
-    /// it on first use.
-    fn shard_set(&self, cur: &VersionedSnapshot) -> Arc<ShardSet> {
-        let v = cur.version.get();
-        if let Some((cv, set)) = lock_recover(&self.cache).as_ref() {
-            if *cv == v {
-                return Arc::clone(set);
-            }
-        }
-        // Build outside the lock — a slab build is the expensive path and
-        // must not serialize readers of the cached version. Two requests
-        // racing on a fresh version may both build; the sets are
-        // deterministic, so either install is correct.
-        let set = Arc::new(ShardSet::build(&cur.snapshot, self.shards));
-        let mut cache = lock_recover(&self.cache);
-        match cache.as_ref() {
-            // Never clobber a newer version's set with an older one.
-            Some((cv, _)) if *cv > v => {}
-            _ => *cache = Some((v, Arc::clone(&set))),
-        }
-        set
-    }
-
-    /// Build (and cache) the current version's shard set ahead of
-    /// traffic, so no query pays the partitioning cost in its own
-    /// latency. Called on construction and after every publish through
-    /// the sharded front-end; a no-op when the set is already cached.
-    pub(crate) fn prewarm(&self) {
-        let cur = self.service.current();
-        self.shard_set(&cur);
-    }
-
-    /// Whether the wrapped service carries an IVF index — the
-    /// precondition for serving degraded (`Approx`) answers.
-    pub(crate) fn has_index(&self) -> bool {
-        self.service.serving().index.is_some()
-    }
-
-    pub(crate) fn query(
+impl Partition {
+    /// The best `opts.k` (all when `None`) of this partition's candidates
+    /// for each query, with global ids: an in-place scan of the columns,
+    /// or a probe of `index`.
+    fn answer(
         &self,
-        e1: u32,
-        opts: QueryOptions,
-    ) -> Result<Versioned<Ranking>, DaakgError> {
-        self.service.check_query(e1)?;
-        let nprobe = self.service.resolve_mode(opts.mode)?;
-        let cur = self.service.current();
-        let set = self.shard_set(&cur);
-        let engine = cur.snapshot.entity_engine();
-        let q = engine.normalized_query(e1);
-        let search_spans = &self.service.telem().search;
-        let per_shard = daakg_parallel::par_map_ranges(set.slabs.len(), set.slabs.len(), |sr| {
-            sr.map(|si| {
-                let slab = &set.slabs[si];
-                let _span = self.scan_span.span();
-                match nprobe {
-                    None => {
-                        let k = opts.k.map_or(slab.len, |k| k.min(slab.len));
-                        slab.scan(q, set.dim, 1, k).pop().unwrap_or_default()
-                    }
-                    Some(nprobe) => {
-                        slab.search(q, opts.k.unwrap_or(slab.len), nprobe, search_spans)
-                    }
-                }
-            })
-            .collect::<Vec<_>>()
-        });
-        let mut value = {
-            let _span = self.merge_span.span();
-            set.merge(opts.k, per_shard.into_iter().flatten())
-        };
-        // Live deltas are one more (unsharded) scatter target: the slab
-        // scan merges through the same bounded selector, so the answer
-        // stays bitwise-equal to an exact scan over base ∪ delta. Keyed
-        // by the pinned version, so a just-published retrain can never
-        // pick up the superseded slab.
-        let mut deltas_merged = 0u32;
-        if let Some(slab) = self.service.live_slab_for(cur.version.get()) {
-            let _span = self.service.telem().delta_merge.span();
-            value = slab
-                .merge_into(q, 1, opts.k, set.total, vec![value])
-                .pop()
-                .expect("one query in, one ranking out");
-            deltas_merged = slab.len() as u32;
-        }
-        Ok(Versioned {
-            version: cur.version,
-            value,
-            deltas_merged,
-        })
-    }
-
-    pub(crate) fn query_batch(
-        &self,
+        engine: &BatchedSimilarity,
+        index: Option<&IvfIndex>,
         queries: &[u32],
         opts: QueryOptions,
-    ) -> Result<Versioned<Vec<Ranking>>, DaakgError> {
-        for &q in queries {
-            self.service.check_query(q)?;
-        }
-        let nprobe = self.service.resolve_mode(opts.mode)?;
-        let cur = self.service.current();
-        let set = self.shard_set(&cur);
-        let engine = cur.snapshot.entity_engine();
-        // Gather the query panels once; every shard scans the same
-        // panels, so the gather must not be repeated per shard.
-        let panels: Vec<Tensor> = queries
-            .chunks(QUERY_BLOCK)
-            .map(|chunk| engine.normalized_queries().gather_rows(chunk))
-            .collect();
-        // Scatter: each shard answers every query with global ids.
-        let search_spans = &self.service.telem().search;
-        let per_shard: Vec<Vec<Ranking>> =
-            daakg_parallel::par_map_ranges(set.slabs.len(), set.slabs.len(), |sr| {
-                sr.map(|si| {
-                    let slab = &set.slabs[si];
-                    let _span = self.scan_span.span();
-                    let mut out: Vec<Ranking> = Vec::with_capacity(queries.len());
-                    match nprobe {
-                        None => {
-                            let k = opts.k.map_or(slab.len, |k| k.min(slab.len));
-                            for (ci, chunk) in queries.chunks(QUERY_BLOCK).enumerate() {
-                                out.extend(slab.scan(
-                                    panels[ci].as_slice(),
-                                    set.dim,
-                                    chunk.len(),
-                                    k,
-                                ));
-                            }
-                        }
-                        Some(nprobe) => {
-                            for &e1 in queries {
-                                out.push(slab.search(
-                                    engine.normalized_query(e1),
-                                    opts.k.unwrap_or(slab.len),
-                                    nprobe,
-                                    search_spans,
-                                ));
-                            }
-                        }
-                    }
-                    out
-                })
-                .collect::<Vec<_>>()
+        spans: &SearchSpans,
+    ) -> Vec<Ranking> {
+        let k = opts.k.map_or(self.cols.len(), |k| k.min(self.cols.len()));
+        let QueryMode::Approx { nprobe } = opts.mode else {
+            return engine.top_k_cols(queries, self.cols.clone(), k);
+        };
+        let index = index.expect("validated: index configured before Approx dispatch");
+        let base = self.cols.start as u32;
+        queries
+            .iter()
+            .map(|&q| {
+                let found = index.search_observed(engine.normalized_query(q), k, nprobe, spans);
+                found.into_iter().map(|(id, s)| (base + id, s)).collect()
             })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Gather: merge each query's per-shard lists.
-        let merge_span = self.merge_span.span();
-        let mut per_shard = per_shard;
-        let mut value: Vec<Ranking> = (0..queries.len())
-            .map(|qi| {
-                set.merge(
-                    opts.k,
-                    per_shard
-                        .iter_mut()
-                        .map(|shard| std::mem::take(&mut shard[qi])),
-                )
-            })
-            .collect();
-        drop(merge_span);
-        // Merge live deltas per panel chunk (the panels were gathered
-        // above for the scatter; the slab reuses them bitwise).
-        let mut deltas_merged = 0u32;
-        if let Some(slab) = self.service.live_slab_for(cur.version.get()) {
-            let _span = self.service.telem().delta_merge.span();
-            let mut vals = value.into_iter();
-            let mut merged = Vec::with_capacity(queries.len());
-            for (ci, chunk) in queries.chunks(QUERY_BLOCK).enumerate() {
-                let base: Vec<Ranking> = (&mut vals).take(chunk.len()).collect();
-                merged.extend(slab.merge_into(
-                    panels[ci].as_slice(),
-                    chunk.len(),
-                    opts.k,
-                    set.total,
-                    base,
-                ));
-            }
-            value = merged;
-            deltas_merged = slab.len() as u32;
-        }
-        Ok(Versioned {
-            version: cur.version,
-            value,
-            deltas_merged,
-        })
+            .collect()
     }
 }
 
-/// A sharded scatter-gather serving front-end over an
-/// [`AlignmentService`].
+/// The serving structures of one published version: its corpus
+/// partitions. Built once per publish ([`ServingSet::build`]).
+pub(crate) struct ServingSet {
+    /// The partition count asked for; more than `parts.len()` when the
+    /// corpus has fewer candidates.
+    shards: usize,
+    parts: Vec<Partition>,
+}
+
+impl ServingSet {
+    /// Partition `snap`'s corpus into `shards` contiguous column ranges,
+    /// timed into `span`. With two or more partitions and an index
+    /// configuration, each partition's IVF index is built here,
+    /// concurrently, from its rows in place; one partition serves the
+    /// snapshot's own index.
+    pub(crate) fn build(
+        snap: &AlignmentSnapshot,
+        shards: usize,
+        span: &HistogramHandle,
+    ) -> Arc<Self> {
+        let _span = span.span();
+        let rows = snap.entity_engine().normalized_candidates();
+        let mut ranges = daakg_parallel::split_ranges(rows.rows(), shards);
+        if ranges.is_empty() {
+            ranges.push(0..0);
+        }
+        let cfg = snap.index_config().filter(|_| ranges.len() > 1);
+        let parts = daakg_parallel::par_map_ranges(ranges.len(), ranges.len(), |r| {
+            let cols = ranges[r.start].clone();
+            let index = cfg.map(|cfg| Arc::new(IvfIndex::build_range(rows, cols.clone(), cfg)));
+            Partition { cols, index }
+        });
+        Arc::new(Self { shards, parts })
+    }
+
+    /// The partition count this set was built for.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// Answer `queries` under `opts` (mode already validated) against
+    /// `snap`, the version this set was built from.
+    ///
+    /// The work is partitions × query ranges, where the number of query
+    /// ranges is `max(1, num_threads / partitions)`. One partition
+    /// records each range's exact scan in `stage_exact_scan_ns`; two or
+    /// more record each (partition, range) scan in `stage_shard_scan_ns`
+    /// and the merge in `stage_shard_merge_ns`.
+    pub(crate) fn answer(
+        &self,
+        snap: &AlignmentSnapshot,
+        queries: &[u32],
+        opts: QueryOptions,
+        telem: &ServiceTelemetry,
+    ) -> Vec<Ranking> {
+        let engine = snap.entity_engine();
+        let parts = self.parts.len();
+        let ranges = daakg_parallel::split_ranges(
+            queries.len(),
+            (daakg_parallel::num_threads() / parts).max(1),
+        );
+        let (one, exact) = (parts == 1, opts.mode == QueryMode::Exact);
+        // One partition probes the snapshot's own index (built on first
+        // use, before the fan-out); more probe their own.
+        let whole = if one && !exact {
+            snap.ivf_index()
+        } else {
+            None
+        };
+        let noop = HistogramHandle::default();
+        let span = match (one, exact) {
+            (true, true) => &telem.exact_scan,
+            (true, false) => &noop,
+            (false, _) => &telem.shard_scan,
+        };
+        let work = parts * ranges.len();
+        let lists = daakg_parallel::par_map_ranges(work, work, |w| {
+            let (part, qr) = (
+                &self.parts[w.start / ranges.len()],
+                &ranges[w.start % ranges.len()],
+            );
+            let index = part.index.as_ref().or(whole).map(|i| &**i);
+            let _span = span.span();
+            part.answer(engine, index, &queries[qr.clone()], opts, &telem.search)
+        });
+        if one {
+            return lists.into_iter().flatten().collect();
+        }
+        // Merge each query's per-partition lists, partition by partition.
+        let _span = telem.shard_merge.span();
+        let total = engine.num_candidates();
+        let bound = opts.k.map_or(total, |k| k.min(total));
+        let mut merged: Vec<TopKSelector> =
+            queries.iter().map(|_| TopKSelector::new(bound)).collect();
+        for (w, part_lists) in lists.into_iter().enumerate() {
+            let qr = ranges[w % ranges.len()].clone();
+            for (sel, list) in merged[qr].iter_mut().zip(part_lists) {
+                for (id, s) in list {
+                    sel.push(id, s);
+                }
+            }
+        }
+        merged.into_iter().map(TopKSelector::into_sorted).collect()
+    }
+}
+
+/// A sharded serving front-end over an [`AlignmentService`]: the same
+/// service, serving from `n` corpus partitions, optionally behind the
+/// micro-batching ingress.
 ///
-/// Shard slabs are built once per published snapshot version and cached,
-/// so steady-state queries pay only the scatter. Construction
-/// **pre-warms** the initial version's set, and publishing through the
-/// front-end's own [`ShardedService::train`] /
-/// [`ShardedService::align_rounds`] wrappers pre-warms the new version —
-/// so no query pays the partitioning cost in its own tail latency.
-/// Training through the wrapped service directly
-/// ([`ShardedService::service`]) still works; the first query after such
-/// a publish builds the new set lazily.
+/// [`ShardedService::new`] re-stamps the current version with an
+/// `n`-partition serving set, and from then on every publish — training
+/// through [`ShardedService::service`], a compactor fold, or
+/// [`AlignmentService::compact_now`] — builds the new version's set before
+/// readers can see it, so no query pays the partitioning cost.
 ///
 /// `Exact` answers are bitwise-identical to the unsharded service's
 /// (ties included); see the [module docs](self) for why. With an
@@ -413,16 +215,18 @@ impl ShardCore {
 /// dispatches — which also brings admission control, deadlines, and the
 /// opt-in [`crate::DegradePolicy`] (see the ingress docs).
 pub struct ShardedService {
-    core: Arc<ShardCore>,
+    /// Declared first so it shuts down (joining its worker, which holds
+    /// the service too) before the service is released.
     ingress: Option<Ingress>,
+    service: Arc<AlignmentService>,
 }
 
 impl std::fmt::Debug for ShardedService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedService")
-            .field("shards", &self.core.shards)
+            .field("shards", &self.shards())
             .field("ingress", &self.ingress.as_ref().map(Ingress::config))
-            .field("service", &self.core.service)
+            .field("service", &self.service)
             .finish()
     }
 }
@@ -444,21 +248,11 @@ impl ShardedService {
                 format!("shard count {shards} exceeds the 4096 maximum"),
             ));
         }
-        let reg = service.telemetry().registry().clone();
-        let svc = Self {
-            core: Arc::new(ShardCore {
-                shards,
-                cache: Mutex::new(None),
-                scan_span: reg.histogram("stage_shard_scan_ns"),
-                merge_span: reg.histogram("stage_shard_merge_ns"),
-                service,
-            }),
+        service.set_shards(shards);
+        Ok(Self {
             ingress: None,
-        };
-        // Pre-warm the initial version so the first query doesn't pay
-        // the shard-set build inside its own latency.
-        svc.core.prewarm();
-        Ok(svc)
+            service: Arc::new(service),
+        })
     }
 
     /// [`ShardedService::new`] with a micro-batching ingress in front of
@@ -474,30 +268,30 @@ impl ShardedService {
         let mut svc = Self::new(service, shards)?;
         svc.ingress = Some(Ingress::start(
             ingress,
-            Arc::clone(&svc.core),
-            svc.core.service.telemetry(),
+            Arc::clone(&svc.service),
+            svc.service.telemetry(),
         ));
         Ok(svc)
     }
 
     /// The telemetry surface of the whole front-end: the wrapped
-    /// service's registry and journal, which the sharded scatter/merge
+    /// service's registry and journal, which the partition scan/merge
     /// stages and the ingress also record into — one registry covers the
     /// full stack (see [`AlignmentService::telemetry`]).
-    pub fn telemetry(&self) -> &Telemetry {
-        self.core.service.telemetry()
+    pub fn telemetry(&self) -> &daakg_telemetry::Telemetry {
+        self.service.telemetry()
     }
 
-    /// The wrapped service — train and publish through this handle;
-    /// queries on the sharded front-end observe each publish on their
-    /// next version grab.
+    /// The wrapped service — train and publish through this handle; it
+    /// serves from the same partitions, and queries on the front-end
+    /// observe each publish on their next version grab.
     pub fn service(&self) -> &AlignmentService {
-        &self.core.service
+        &self.service
     }
 
     /// Number of corpus partitions.
     pub fn shards(&self) -> usize {
-        self.core.shards
+        self.service.shards()
     }
 
     /// The ingress window configuration, when one is running.
@@ -517,7 +311,7 @@ impl ShardedService {
     /// counters, and whether the ingress [`crate::DegradePolicy`] is
     /// currently engaged — one coherent view of the whole front-end.
     pub fn health(&self) -> ServiceHealth {
-        let mut health = self.core.service.health();
+        let mut health = self.service.health();
         health.ingress = self.ingress_stats();
         if let Some(ingress) = &self.ingress {
             health.degrade_engaged = ingress.degrade_engaged();
@@ -525,57 +319,19 @@ impl ShardedService {
         health
     }
 
-    /// Build (and cache) the current version's shard set ahead of
-    /// traffic. Construction and the [`ShardedService::train`] /
-    /// [`ShardedService::align_rounds`] wrappers already do this; call it
-    /// manually after publishing through
-    /// [`ShardedService::service`] directly to keep the build cost out of
-    /// the next query's latency.
-    pub fn prewarm(&self) {
-        self.core.prewarm();
-    }
-
-    /// Train on `labels` and publish through the wrapped service, then
-    /// pre-warm the new version's shard set so the publish — not the
-    /// next query — pays the partitioning cost.
-    pub fn train(
-        &self,
-        labels: &crate::joint::LabeledMatches,
-    ) -> Result<VersionedSnapshot, DaakgError> {
-        let published = self.core.service.train(labels)?;
-        self.core.prewarm();
-        Ok(published)
-    }
-
-    /// [`AlignmentService::align_rounds`] through the front-end, with the
-    /// new version's shard set pre-warmed (see [`ShardedService::train`]).
-    pub fn align_rounds(
-        &self,
-        labels: &crate::joint::LabeledMatches,
-        epochs: usize,
-    ) -> Result<Versioned<Vec<f32>>, DaakgError> {
-        let losses = self.core.service.align_rounds(labels, epochs)?;
-        self.core.prewarm();
-        Ok(losses)
-    }
+    /// A no-op, kept for callers written against releases that built a
+    /// version's shard set lazily: every publish now builds its serving
+    /// set before readers can see the version.
+    pub fn prewarm(&self) {}
 
     /// Answer one left entity under `opts`. With an ingress configured,
     /// the call enqueues and blocks until its coalesced batch is
     /// answered — subject to admission control
     /// ([`DaakgError::Overloaded`]), the query's deadline, and the
-    /// opt-in [`crate::DegradePolicy`]; without one, it scatters
-    /// immediately (no queue, so deadlines are inert and nothing sheds).
+    /// opt-in [`crate::DegradePolicy`]; without one, it runs immediately
+    /// (no queue, so deadlines are inert and nothing sheds).
     pub fn query(&self, e1: u32, opts: QueryOptions) -> Result<Versioned<Ranking>, DaakgError> {
-        match &self.ingress {
-            Some(ingress) => {
-                // Fail fast (and keep the worker infallible): bounds and
-                // mode are validated before the queue ever sees the query.
-                self.core.service.check_query(e1)?;
-                self.core.service.resolve_mode(opts.mode)?;
-                ingress.submit(e1, opts).map(|(answer, _served)| answer)
-            }
-            None => self.core.query(e1, opts),
-        }
+        self.submit(e1, opts)?.wait()
     }
 
     /// [`ShardedService::query`], with the answer stamped by the
@@ -583,24 +339,7 @@ impl ShardedService {
     /// from the requested one only while an explicitly configured
     /// [`crate::DegradePolicy`] is engaged.
     pub fn query_served(&self, e1: u32, opts: QueryOptions) -> Result<Served<Ranking>, DaakgError> {
-        match &self.ingress {
-            Some(ingress) => {
-                self.core.service.check_query(e1)?;
-                self.core.service.resolve_mode(opts.mode)?;
-                ingress.submit(e1, opts).map(|(answer, served)| Served {
-                    version: answer.version,
-                    value: answer.value,
-                    deltas_merged: answer.deltas_merged,
-                    served,
-                })
-            }
-            None => self.core.query(e1, opts).map(|answer| Served {
-                version: answer.version,
-                value: answer.value,
-                deltas_merged: answer.deltas_merged,
-                served: opts.mode,
-            }),
-        }
+        self.submit(e1, opts)?.wait_served()
     }
 
     /// Admit one query without blocking for its answer: the open-loop
@@ -612,25 +351,29 @@ impl ShardedService {
     pub fn submit(&self, e1: u32, opts: QueryOptions) -> Result<PendingAnswer, DaakgError> {
         match &self.ingress {
             Some(ingress) => {
-                self.core.service.check_query(e1)?;
-                self.core.service.resolve_mode(opts.mode)?;
+                // Fail fast (and keep the worker infallible): bounds and
+                // mode are validated before the queue ever sees the query.
+                self.service.check_query(e1)?;
+                self.service.check_mode(opts.mode)?;
                 ingress.submit_ticket(e1, opts)
             }
             None => Ok(PendingAnswer::filled(
-                self.core.query(e1, opts).map(|answer| (answer, opts.mode)),
+                self.service
+                    .query(e1, opts)
+                    .map(|answer| (answer, opts.mode)),
             )),
         }
     }
 
     /// Answer every query under `opts` on **one** coherent snapshot
-    /// version, scattered across shards. Already batched, so the ingress
-    /// is bypassed.
+    /// version ([`AlignmentService::query_batch`]). Already batched, so
+    /// the ingress is bypassed.
     pub fn query_batch(
         &self,
         queries: &[u32],
         opts: QueryOptions,
     ) -> Result<Versioned<Vec<Ranking>>, DaakgError> {
-        self.core.query_batch(queries, opts)
+        self.service.query_batch(queries, opts)
     }
 
     /// Rank all right entities for `e1` in the wrapped service's default
@@ -658,7 +401,7 @@ impl ShardedService {
     }
 
     fn default_mode(&self) -> QueryMode {
-        self.core.service.serving().mode
+        self.service.serving().mode
     }
 }
 
@@ -708,21 +451,34 @@ mod tests {
         ));
     }
 
+    /// Every shard count — one, several, and more than the corpus has
+    /// candidates — answers Exact top-k, full rank and full-probe Approx
+    /// (single and batch) exactly as the one-partition service's exact
+    /// scan does.
     #[test]
     fn sharded_exact_matches_unsharded_bitwise() {
-        let svc = example_service(ServingConfig::default());
+        const NLIST: usize = 3;
+        let svc = example_service(ServingConfig::with_index(NLIST));
         let n1 = svc.kg1().num_entities();
+        let n2 = svc.kg2().num_entities();
         let queries: Vec<u32> = (0..n1 as u32).collect();
-        let reference = svc.batch_top_k(&queries, 3).expect("unsharded");
-        for shards in [1usize, 2, 3, 7] {
-            let sharded = ShardedService::new(example_service(ServingConfig::default()), shards)
-                .expect("sharded");
-            let got = sharded.batch_top_k(&queries, 3).expect("sharded batch");
-            assert_eq!(got.value, reference.value, "shards={shards}");
-            for &q in &queries {
-                let one = sharded.top_k(q, 3).expect("sharded single");
-                let exact = svc.top_k(q, 3).expect("unsharded single");
-                assert_eq!(one.value, exact.value, "shards={shards} q={q}");
+        for opts in [QueryOptions::top_k(3), QueryOptions::rank()] {
+            let reference = svc.query_batch(&queries, opts).expect("unsharded");
+            for shards in [1usize, 2, 3, 7, n2 + 1] {
+                let sharded =
+                    ShardedService::new(example_service(ServingConfig::with_index(NLIST)), shards)
+                        .expect("sharded");
+                for mode in [QueryMode::Exact, QueryMode::Approx { nprobe: NLIST }] {
+                    let opts = opts.with_mode(mode);
+                    let got = sharded.query_batch(&queries, opts).expect("sharded batch");
+                    assert_eq!(got.value, reference.value, "shards={shards} {opts:?}");
+                    for &q in &queries {
+                        let one = sharded.query(q, opts).expect("sharded single");
+                        let exact = svc.query(q, opts.with_mode(QueryMode::Exact));
+                        let exact = exact.expect("unsharded single");
+                        assert_eq!(one.value, exact.value, "shards={shards} q={q} {opts:?}");
+                    }
+                }
             }
         }
     }
@@ -766,7 +522,11 @@ mod tests {
     }
 
     fn live_service() -> AlignmentService {
-        let mut svc = example_service(ServingConfig::default());
+        live_service_with(ServingConfig::default())
+    }
+
+    fn live_service_with(serving: ServingConfig) -> AlignmentService {
+        let mut svc = example_service(serving);
         svc.enable_live(crate::LiveConfig {
             compact_after: 10_000,
             tick: std::time::Duration::from_secs(3600),
@@ -785,48 +545,142 @@ mod tests {
     }
 
     /// Sharded scatter-gather over base ∪ delta stays bitwise-identical
-    /// to the unsharded merged answer, at every shard count and k shape
-    /// (the delta slab is one more scatter target, merged through the
-    /// same bounded selector).
+    /// to the unsharded merged answer, at every shard count, k shape and
+    /// mode (full-probe Approx against Exact; the delta slab is one more
+    /// scatter target, merged through the same bounded selector).
     #[test]
     fn sharded_live_answers_match_unsharded_bitwise() {
-        for shards in [1usize, 2, 7] {
-            let sharded = ShardedService::new(live_service(), shards).expect("sharded");
-            let svc = sharded.service();
+        const NLIST: usize = 3;
+        let upserted = |svc: &AlignmentService| {
             let a = svc.upsert_entity(&[triple(0, 0)]).expect("upsert");
             svc.upsert_entity(&[triple(1, a)]).expect("upsert");
-            let n2 = svc.kg2().num_entities();
+        };
+        let reference = live_service_with(ServingConfig::with_index(NLIST));
+        upserted(&reference);
+        let n2 = reference.kg2().num_entities();
+        for shards in [1usize, 2, 3, 7, n2 + 1] {
+            let sharded =
+                ShardedService::new(live_service_with(ServingConfig::with_index(NLIST)), shards)
+                    .expect("sharded");
+            upserted(sharded.service());
+            let svc = &reference;
             let union_n = n2 + 2;
             let queries: Vec<u32> = (0..svc.kg1().num_entities() as u32).collect();
             for k in [Some(0), Some(5), Some(union_n), Some(union_n + 3), None] {
-                let opts = match k {
-                    Some(k) => QueryOptions::top_k(k),
-                    None => QueryOptions::rank(),
-                };
-                let got = sharded.query(0, opts).expect("sharded single");
-                let want = svc.query(0, opts).expect("unsharded single");
-                assert_eq!(got.deltas_merged, 2, "shards={shards} k={k:?}");
-                assert_eq!(got.value.len(), want.value.len());
-                for (g, w) in got.value.iter().zip(&want.value) {
-                    assert_eq!(g.0, w.0, "shards={shards} k={k:?}");
-                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "shards={shards} k={k:?}");
-                }
-                let got = sharded.query_batch(&queries, opts).expect("sharded batch");
-                let want = svc.query_batch(&queries, opts).expect("unsharded batch");
-                assert_eq!(got.deltas_merged, 2);
-                for (q, (gr, wr)) in got.value.iter().zip(&want.value).enumerate() {
-                    assert_eq!(gr.len(), wr.len());
-                    for (g, w) in gr.iter().zip(wr) {
-                        assert_eq!(g.0, w.0, "shards={shards} k={k:?} q={q}");
-                        assert_eq!(
-                            g.1.to_bits(),
-                            w.1.to_bits(),
-                            "shards={shards} k={k:?} q={q}"
-                        );
+                for mode in [QueryMode::Exact, QueryMode::Approx { nprobe: NLIST }] {
+                    let exact = match k {
+                        Some(k) => QueryOptions::top_k(k),
+                        None => QueryOptions::rank(),
+                    };
+                    let opts = exact.with_mode(mode);
+                    let got = sharded.query(0, opts).expect("sharded single");
+                    let want = svc.query(0, exact).expect("unsharded single");
+                    assert_eq!(got.deltas_merged, 2, "shards={shards} k={k:?}");
+                    assert_eq!(got.value.len(), want.value.len());
+                    for (g, w) in got.value.iter().zip(&want.value) {
+                        assert_eq!(g.0, w.0, "shards={shards} k={k:?}");
+                        assert_eq!(g.1.to_bits(), w.1.to_bits(), "shards={shards} k={k:?}");
+                    }
+                    let got = sharded.query_batch(&queries, opts).expect("sharded batch");
+                    let want = svc.query_batch(&queries, exact).expect("unsharded batch");
+                    assert_eq!(got.deltas_merged, 2);
+                    for (q, (gr, wr)) in got.value.iter().zip(&want.value).enumerate() {
+                        assert_eq!(gr.len(), wr.len());
+                        for (g, w) in gr.iter().zip(wr) {
+                            assert_eq!(g.0, w.0, "shards={shards} k={k:?} q={q}");
+                            assert_eq!(
+                                g.1.to_bits(),
+                                w.1.to_bits(),
+                                "shards={shards} k={k:?} q={q}"
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Readers racing a background compactor fold, with no `prewarm`,
+    /// never build a serving set: every build belongs to a publish, and
+    /// every answer equals its version's exact scan.
+    #[test]
+    fn sharded_readers_racing_a_background_fold_never_build_a_serving_set() {
+        let mut svc = example_service(ServingConfig::with_index(3));
+        svc.enable_live(crate::LiveConfig {
+            compact_after: 2,
+            tick: std::time::Duration::from_secs(3600),
+            ..crate::LiveConfig::default()
+        })
+        .expect("enable live");
+        let sharded = ShardedService::new(svc, 2).expect("sharded");
+        let reg = sharded.telemetry().registry().clone();
+        let builds = || {
+            reg.histograms()
+                .into_iter()
+                .find(|(n, _)| n == "stage_serving_build_ns")
+                .map_or(0, |(_, h)| h.count())
+        };
+        let publishes = || reg.counter("snapshot_publish_total").get();
+        let (builds0, publishes0) = (builds(), publishes());
+        let n1 = sharded.service().kg1().num_entities() as u32;
+        let folded = std::sync::atomic::AtomicBool::new(false);
+        let answers = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4u32)
+                .map(|r| {
+                    let (sharded, folded) = (&sharded, &folded);
+                    scope.spawn(move || {
+                        let mut seen = Vec::new();
+                        let mut after = 0;
+                        while after < 50 {
+                            let q = (r + seen.len() as u32) % n1;
+                            let opts = QueryOptions::top_k(3);
+                            let opts = match seen.len() % 2 {
+                                0 => opts,
+                                _ => opts.approx(3),
+                            };
+                            let post = folded.load(std::sync::atomic::Ordering::Acquire);
+                            let answer = sharded.query(q, opts).expect("query");
+                            after += usize::from(post);
+                            seen.push((q, opts, answer));
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            let service = sharded.service();
+            let a = service.upsert_entity(&[triple(0, 0)]).expect("upsert");
+            service.upsert_entity(&[triple(1, a)]).expect("upsert");
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while service.version().get() < 2 {
+                assert!(std::time::Instant::now() < deadline, "no background fold");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            folded.store(true, std::sync::atomic::Ordering::Release);
+            readers
+                .into_iter()
+                .flat_map(|r| r.join().expect("reader"))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(publishes() - publishes0, 1, "one fold published");
+        assert_eq!(builds() - builds0, publishes() - publishes0);
+        let mut on_fold = 0;
+        for (q, opts, answer) in answers {
+            if answer.version.get() < 2 || answer.deltas_merged > 0 {
+                continue;
+            }
+            on_fold += 1;
+            let snap = sharded
+                .service()
+                .snapshot_at(answer.version)
+                .expect("retained");
+            let exact = snap.snapshot.top_k_entities(q, 3);
+            if opts.mode == QueryMode::Exact {
+                assert_eq!(answer.value, exact, "q={q}");
+            } else {
+                assert_eq!(answer.value.len(), exact.len(), "q={q}");
+            }
+        }
+        assert!(on_fold >= 4 * 50, "{on_fold} answers on the folded version");
     }
 
     /// Queries through the micro-batching ingress carry the delta merge

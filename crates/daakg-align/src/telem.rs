@@ -23,9 +23,10 @@
 //! | gauge | `durability_degraded` | 1 while the latest persist failed |
 //! | histogram | `stage_ingress_queue_wait_ns` | admission → dequeue wait |
 //! | histogram | `stage_ingress_execute_ns` | batched dispatch execution |
-//! | histogram | `stage_shard_scan_ns` | one shard's scatter scan |
-//! | histogram | `stage_shard_merge_ns` | scatter-gather merge |
-//! | histogram | `stage_exact_scan_ns` | exhaustive (unsharded) scan |
+//! | histogram | `stage_shard_scan_ns` | one partition's scan of one query range (2+ partitions) |
+//! | histogram | `stage_shard_merge_ns` | merge of the partitions' lists (2+ partitions) |
+//! | histogram | `stage_exact_scan_ns` | one query range's exhaustive scan (one partition) |
+//! | histogram | `stage_serving_build_ns` | a version's serving set, built on the publishing thread |
 //! | histogram | `stage_ivf_probe_ns` | IVF centroid probe |
 //! | histogram | `stage_ivf_scan_ns` | IVF inverted-list scan |
 //! | histogram | `stage_delta_merge_ns` | live delta-slab merge into an answer |
@@ -62,6 +63,9 @@ pub(crate) struct ServiceTelemetry {
     pub telemetry: Telemetry,
     // Stage histograms.
     pub exact_scan: HistogramHandle,
+    pub shard_scan: HistogramHandle,
+    pub shard_merge: HistogramHandle,
+    pub serving_build: HistogramHandle,
     pub search: SearchSpans,
     pub delta_merge: HistogramHandle,
     pub train: HistogramHandle,
@@ -96,6 +100,9 @@ impl ServiceTelemetry {
         };
         Self {
             exact_scan: reg.histogram("stage_exact_scan_ns"),
+            shard_scan: reg.histogram("stage_shard_scan_ns"),
+            shard_merge: reg.histogram("stage_shard_merge_ns"),
+            serving_build: reg.histogram("stage_serving_build_ns"),
             search: SearchSpans {
                 probe: reg.histogram("stage_ivf_probe_ns"),
                 scan: reg.histogram("stage_ivf_scan_ns"),

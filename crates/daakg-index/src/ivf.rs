@@ -28,6 +28,7 @@ use daakg_autograd::tensor::dot_unrolled as dot;
 use daakg_autograd::Tensor;
 use daakg_graph::DaakgError;
 use daakg_telemetry::HistogramHandle;
+use std::ops::Range;
 
 /// Per-stage timing handles for an IVF search: the coarse centroid
 /// **probe** (pick the `nprobe` closest lists) vs. the inverted-list
@@ -108,8 +109,14 @@ impl IvfIndex {
     /// `cfg.nlist` is clamped to `n`; an empty corpus yields an index
     /// whose searches return nothing.
     pub fn build(normalized: &Tensor, cfg: &IvfConfig) -> Self {
-        let (n, d) = normalized.shape();
-        let km = spherical_kmeans(normalized, cfg.nlist, cfg.max_iters, cfg.seed);
+        Self::build_range(normalized, 0..normalized.rows(), cfg)
+    }
+
+    /// [`IvfIndex::build`] over rows `rows` of `normalized`, read in
+    /// place; ids are local (`0..rows.len()`).
+    pub fn build_range(normalized: &Tensor, rows: Range<usize>, cfg: &IvfConfig) -> Self {
+        let (n, d) = (rows.len(), normalized.cols());
+        let km = spherical_kmeans(normalized, rows.clone(), cfg.nlist, cfg.max_iters, cfg.seed);
         let nlist = km.centroids.rows();
 
         let mut counts = vec![0usize; nlist];
@@ -138,7 +145,7 @@ impl IvfIndex {
             let m = end - start;
             let block = &mut blocks_t[start * d..end * d];
             for (pos, &id) in ids[start..end].iter().enumerate() {
-                let row = normalized.row(id as usize);
+                let row = normalized.row(rows.start + id as usize);
                 for (r, &v) in row.iter().enumerate() {
                     block[r * m + pos] = v;
                 }

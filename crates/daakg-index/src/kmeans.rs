@@ -29,6 +29,7 @@ use daakg_autograd::tensor::dot_unrolled as dot;
 use daakg_autograd::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// The result of one spherical k-means run.
 #[derive(Debug, Clone)]
@@ -45,15 +46,15 @@ pub struct KMeans {
 /// Assign every vector to its most-similar centroid (ties to the lowest
 /// centroid index), sharded across worker threads. Returns
 /// `(assignment, similarity)` per vector, in vector order.
-fn assign(data: &Tensor, centroids: &Tensor) -> Vec<(u32, f32)> {
-    let n = data.rows();
+fn assign(data: &Tensor, rows: Range<usize>, centroids: &Tensor) -> Vec<(u32, f32)> {
+    let n = rows.len();
     let k = centroids.rows();
     let shards = daakg_parallel::num_threads();
     let mut out = Vec::with_capacity(n);
     for shard in daakg_parallel::par_map_ranges(n, shards, |range| {
         let mut local = Vec::with_capacity(range.len());
         for i in range {
-            let row = data.row(i);
+            let row = data.row(rows.start + i);
             let mut best = 0u32;
             let mut best_sim = f32::NEG_INFINITY;
             for c in 0..k {
@@ -77,13 +78,13 @@ fn assign(data: &Tensor, centroids: &Tensor) -> Vec<(u32, f32)> {
 /// k-means++-style seeding: centroid 0 is a uniform draw; every further
 /// centroid is drawn with probability proportional to the angular
 /// distance `(1 − max_sim).max(0)` to the centroids picked so far.
-fn seed_centroids(data: &Tensor, k: usize, rng: &mut StdRng) -> Tensor {
-    let (n, d) = data.shape();
+fn seed_centroids(data: &Tensor, rows: Range<usize>, k: usize, rng: &mut StdRng) -> Tensor {
+    let (n, d, row) = (rows.len(), data.cols(), |i: usize| data.row(rows.start + i));
     let mut centroids = Tensor::zeros(k, d);
     let first = rng.gen_range(0..n);
-    centroids.row_mut(0).copy_from_slice(data.row(first));
+    centroids.row_mut(0).copy_from_slice(row(first));
     // best_sim[i] = max similarity of vector i to any chosen centroid.
-    let mut best_sim: Vec<f32> = (0..n).map(|i| dot(data.row(i), data.row(first))).collect();
+    let mut best_sim: Vec<f32> = (0..n).map(|i| dot(row(i), row(first))).collect();
     for c in 1..k {
         let total: f64 = best_sim.iter().map(|&s| (1.0 - s).max(0.0) as f64).sum();
         let pick = if total > 1e-12 {
@@ -102,9 +103,9 @@ fn seed_centroids(data: &Tensor, k: usize, rng: &mut StdRng) -> Tensor {
             // corpus): fall back to uniform draws.
             rng.gen_range(0..n)
         };
-        centroids.row_mut(c).copy_from_slice(data.row(pick));
+        centroids.row_mut(c).copy_from_slice(row(pick));
         for (i, s) in best_sim.iter_mut().enumerate() {
-            *s = s.max(dot(data.row(i), data.row(pick)));
+            *s = s.max(dot(row(i), row(pick)));
         }
     }
     centroids
@@ -113,9 +114,9 @@ fn seed_centroids(data: &Tensor, k: usize, rng: &mut StdRng) -> Tensor {
 /// Re-seed every cluster in `empties` onto the currently worst-fitting
 /// vector (lowest similarity to its assigned centroid), one vector per
 /// cluster, skipping vectors already used.
-fn reseed_empties(
+fn reseed_empties<'a>(
     centroids: &mut Tensor,
-    data: &Tensor,
+    row: impl Fn(usize) -> &'a [f32],
     assigned: &[(u32, f32)],
     empties: &[usize],
 ) {
@@ -132,18 +133,25 @@ fn reseed_empties(
     });
     for (slot, &cluster) in empties.iter().enumerate() {
         let v = order[slot.min(order.len() - 1)] as usize;
-        centroids.row_mut(cluster).copy_from_slice(data.row(v));
+        centroids.row_mut(cluster).copy_from_slice(row(v));
     }
 }
 
-/// Run spherical k-means over row-normalized `data` (`n × d`; rows must be
-/// unit-norm or zero, see [`crate::scan::normalize_rows_cosine`]).
+/// Run spherical k-means over rows `rows` of row-normalized `data`, read
+/// in place (rows must be unit-norm or zero, see
+/// [`crate::scan::normalize_rows_cosine`]).
 ///
-/// `k` is clamped to `1..=n`; `max_iters` Lloyd iterations at most, with
+/// `k` is clamped to `1..=n`; `iters` Lloyd iterations at most, with
 /// early exit on a fixed point. Fully deterministic for a given `seed`
 /// and independent of the worker-thread count.
-pub fn spherical_kmeans(data: &Tensor, k: usize, max_iters: usize, seed: u64) -> KMeans {
-    let (n, d) = data.shape();
+pub fn spherical_kmeans(
+    data: &Tensor,
+    rows: Range<usize>,
+    k: usize,
+    iters: usize,
+    seed: u64,
+) -> KMeans {
+    let (n, d, row) = (rows.len(), data.cols(), |i: usize| data.row(rows.start + i));
     if n == 0 {
         return KMeans {
             centroids: Tensor::zeros(0, d),
@@ -153,11 +161,11 @@ pub fn spherical_kmeans(data: &Tensor, k: usize, max_iters: usize, seed: u64) ->
     }
     let k = k.clamp(1, n);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut centroids = seed_centroids(data, k, &mut rng);
+    let mut centroids = seed_centroids(data, rows.clone(), k, &mut rng);
 
-    let mut assigned = assign(data, &centroids);
+    let mut assigned = assign(data, rows.clone(), &centroids);
     let mut iterations = 0;
-    for _ in 0..max_iters.max(1) {
+    for _ in 0..iters.max(1) {
         iterations += 1;
         // Update: normalized per-cluster mean (spherical M-step).
         let mut sums = Tensor::zeros(k, d);
@@ -165,7 +173,7 @@ pub fn spherical_kmeans(data: &Tensor, k: usize, max_iters: usize, seed: u64) ->
         for (i, &(c, _)) in assigned.iter().enumerate() {
             sums.row_mut(c as usize)
                 .iter_mut()
-                .zip(data.row(i))
+                .zip(row(i))
                 .for_each(|(s, &x)| *s += x);
             counts[c as usize] += 1;
         }
@@ -186,9 +194,9 @@ pub fn spherical_kmeans(data: &Tensor, k: usize, max_iters: usize, seed: u64) ->
                     .for_each(|(o, &x)| *o = x * inv);
             }
         }
-        reseed_empties(&mut centroids, data, &assigned, &empties);
+        reseed_empties(&mut centroids, row, &assigned, &empties);
 
-        let next = assign(data, &centroids);
+        let next = assign(data, rows.clone(), &centroids);
         let converged = empties.is_empty() && next == assigned;
         assigned = next;
         if converged {
@@ -234,19 +242,19 @@ pub fn spherical_kmeans(data: &Tensor, k: usize, max_iters: usize, seed: u64) ->
                 let v = v as usize;
                 counts[assigned[v].0 as usize] -= 1;
                 counts[c] += 1;
-                centroids.row_mut(c).copy_from_slice(data.row(v));
-                assigned[v] = (c as u32, dot(data.row(v), centroids.row(c)));
+                centroids.row_mut(c).copy_from_slice(row(v));
+                assigned[v] = (c as u32, dot(row(v), centroids.row(c)));
             }
         }
         // Strict-improvement reassignment against the repaired centroids
         // (recomputing the current similarity too — the vector's own
         // centroid may just have been replaced).
         for (i, slot) in assigned.iter_mut().enumerate() {
-            let row = data.row(i);
+            let x = row(i);
             let mut best = slot.0;
-            let mut best_sim = dot(row, centroids.row(slot.0 as usize));
+            let mut best_sim = dot(x, centroids.row(slot.0 as usize));
             for c in 0..k {
-                let s = dot(row, centroids.row(c));
+                let s = dot(x, centroids.row(c));
                 if s > best_sim {
                     best_sim = s;
                     best = c as u32;
@@ -305,7 +313,7 @@ mod tests {
     fn invariants_hold_on_random_data() {
         for (n, k, seed) in [(50usize, 4usize, 1u64), (200, 16, 2), (33, 8, 3)] {
             let data = random_unit_matrix(n, 12, seed);
-            let km = spherical_kmeans(&data, k, 12, seed);
+            let km = spherical_kmeans(&data, 0..data.rows(), k, 12, seed);
             assert_eq!(km.assignments.len(), n);
             assert_eq!(km.centroids.rows(), k);
             assert!(km.iterations >= 1);
@@ -321,7 +329,7 @@ mod tests {
         let base = random_unit_matrix(3, 8, 7);
         let rows: Vec<&[f32]> = (0..60).map(|i| base.row(i % 3)).collect();
         let data = Tensor::from_rows(&rows);
-        let km = spherical_kmeans(&data, 5, 10, 7);
+        let km = spherical_kmeans(&data, 0..data.rows(), 5, 10, 7);
         check_invariants(&data, &km);
     }
 
@@ -344,7 +352,7 @@ mod tests {
         }
         normalize_rows_cosine(&mut rows);
         for k in [6usize, 10, 16] {
-            let km = spherical_kmeans(&rows, k, 8, 31);
+            let km = spherical_kmeans(&rows, 0..rows.rows(), k, 8, 31);
             check_invariants(&rows, &km);
         }
     }
@@ -354,7 +362,7 @@ mod tests {
         let mut data = random_unit_matrix(20, 6, 9);
         data.row_mut(3).fill(0.0);
         data.row_mut(11).fill(0.0);
-        let km = spherical_kmeans(&data, 4, 8, 9);
+        let km = spherical_kmeans(&data, 0..data.rows(), 4, 8, 9);
         assert_eq!(km.assignments.len(), 20);
         check_invariants(&data, &km);
     }
@@ -362,11 +370,11 @@ mod tests {
     #[test]
     fn k_is_clamped_and_empty_input_is_fine() {
         let data = random_unit_matrix(5, 4, 1);
-        let km = spherical_kmeans(&data, 100, 5, 1);
+        let km = spherical_kmeans(&data, 0..data.rows(), 100, 5, 1);
         assert_eq!(km.centroids.rows(), 5, "k clamps to n");
         check_invariants(&data, &km);
         let empty = Tensor::zeros(0, 4);
-        let km = spherical_kmeans(&empty, 3, 5, 1);
+        let km = spherical_kmeans(&empty, 0..empty.rows(), 3, 5, 1);
         assert!(km.assignments.is_empty());
         assert_eq!(km.centroids.rows(), 0);
     }
@@ -374,8 +382,8 @@ mod tests {
     #[test]
     fn deterministic_for_a_seed() {
         let data = random_unit_matrix(120, 10, 4);
-        let a = spherical_kmeans(&data, 8, 10, 4);
-        let b = spherical_kmeans(&data, 8, 10, 4);
+        let a = spherical_kmeans(&data, 0..data.rows(), 8, 10, 4);
+        let b = spherical_kmeans(&data, 0..data.rows(), 8, 10, 4);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.centroids.as_slice(), b.centroids.as_slice());
     }

@@ -187,13 +187,13 @@ impl ScoreSink for () {
 /// query panel (`nq` rows of `d` floats in `ps`), feeding the per-query
 /// bounded selectors and the score sink.
 ///
-/// `ct` is the *transposed* candidate block (`d` rows of `n` floats), so
-/// the kernel accumulates a 4-query × 16-candidate register tile
+/// `ct` is the *transposed* candidate block (`d` rows of `n` floats, `ld`
+/// apart), so the kernel accumulates a 4-query × 16-candidate register tile
 /// *vertically*: per depth step it loads one 16-wide candidate slab,
 /// broadcasts four query scalars, and issues eight 8-lane FMAs — no
 /// horizontal reduction anywhere, and each candidate load feeds four MACs.
 ///
-/// `ids[j]` is the id pushed for column `j` (`ids.len() == n`): the
+/// `ids[j]` is the id pushed for column `j` (`n = ids.len()`): the
 /// identity map for an exhaustive scan, the inverted-list id slice for an
 /// IVF probe.
 ///
@@ -208,13 +208,13 @@ fn scan_panel<S: ScoreSink>(
     d: usize,
     nq: usize,
     ct: &[f32],
-    n: usize,
+    ld: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
     sink: &mut S,
 ) {
-    debug_assert_eq!(ct.len(), d * n);
-    debug_assert_eq!(ids.len(), n);
+    let n = ids.len();
+    debug_assert!(d == 0 || ct.len() >= (d - 1) * ld + n);
     let mut qi = 0;
     while qi + 4 <= nq {
         let b = qi * d;
@@ -232,7 +232,7 @@ fn scan_panel<S: ScoreSink>(
         while j0 + SCAN_TILE <= n {
             let mut acc = [[0.0f32; SCAN_TILE]; 4];
             for l in 0..d {
-                let slab = &ct[l * n + j0..l * n + j0 + SCAN_TILE];
+                let slab = &ct[l * ld + j0..l * ld + j0 + SCAN_TILE];
                 let (b0, b1, b2, b3) = (q0[l], q1[l], q2[l], q3[l]);
                 for t in 0..SCAN_TILE {
                     let cv = slab[t];
@@ -258,7 +258,7 @@ fn scan_panel<S: ScoreSink>(
         while j0 < n {
             let mut s = [0.0f32; 4];
             for l in 0..d {
-                let cv = ct[l * n + j0];
+                let cv = ct[l * ld + j0];
                 s[0] += q0[l] * cv;
                 s[1] += q1[l] * cv;
                 s[2] += q2[l] * cv;
@@ -281,7 +281,7 @@ fn scan_panel<S: ScoreSink>(
         let q = &ps[qi * d..(qi + 1) * d];
         let mut buf = vec![0.0f32; n];
         for (l, &bq) in q.iter().enumerate() {
-            for (o, &cv) in buf.iter_mut().zip(&ct[l * n..(l + 1) * n]) {
+            for (o, &cv) in buf.iter_mut().zip(&ct[l * ld..l * ld + n]) {
                 *o += bq * cv;
             }
         }
@@ -307,12 +307,12 @@ unsafe fn scan_panel_avx2<S: ScoreSink>(
     d: usize,
     nq: usize,
     ct: &[f32],
-    n: usize,
+    ld: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
     sink: &mut S,
 ) {
-    scan_panel(ps, d, nq, ct, n, ids, selectors, sink)
+    scan_panel(ps, d, nq, ct, ld, ids, selectors, sink)
 }
 
 /// Scan a transposed candidate block against a query panel with the
@@ -322,19 +322,19 @@ unsafe fn scan_panel_avx2<S: ScoreSink>(
 /// serving wide SIMD on real hardware.
 ///
 /// * `ps` — the query panel, `nq` contiguous rows of `d` floats;
-/// * `ct` — the transposed candidate block, `d` rows of `n` floats;
-/// * `ids` — the id pushed for each of the `n` columns;
+/// * `ct` — the transposed candidate block, `d` rows of `n` floats `ld` apart;
+/// * `ids` — the id pushed for each of the `n` columns (`n = ids.len()`);
 /// * `selectors` — one bounded accumulator per query row (`≥ nq`).
 pub fn scan_block(
     ps: &[f32],
     d: usize,
     nq: usize,
     ct: &[f32],
-    n: usize,
+    ld: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
 ) {
-    scan_block_observed(ps, d, nq, ct, n, ids, selectors, &mut ())
+    scan_block_observed(ps, d, nq, ct, ld, ids, selectors, &mut ())
 }
 
 /// [`scan_block`] that also offers every computed score to `sink` — one
@@ -347,7 +347,7 @@ pub fn scan_block_observed<S: ScoreSink>(
     d: usize,
     nq: usize,
     ct: &[f32],
-    n: usize,
+    ld: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
     sink: &mut S,
@@ -355,9 +355,9 @@ pub fn scan_block_observed<S: ScoreSink>(
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         // SAFETY: both features were just verified on this CPU.
-        return unsafe { scan_panel_avx2(ps, d, nq, ct, n, ids, selectors, sink) };
+        return unsafe { scan_panel_avx2(ps, d, nq, ct, ld, ids, selectors, sink) };
     }
-    scan_panel(ps, d, nq, ct, n, ids, selectors, sink)
+    scan_panel(ps, d, nq, ct, ld, ids, selectors, sink)
 }
 
 /// Bounded top-k selection over a score slice: keep the best `k` in a
@@ -461,6 +461,51 @@ mod tests {
             for ((gi, gs), (ei, es)) in got.iter().zip(&expect) {
                 assert_eq!(gi, ei, "query {qi}");
                 assert!((gs - es).abs() < 1e-5);
+            }
+        }
+    }
+
+    /// Scanning columns `base..base + len` of a wider slab in place (row
+    /// stride `ld`) scores and selects exactly what a scan over a copy of
+    /// those columns does, bit for bit: ranges off a 16-column tile and
+    /// shorter than one, through the 4-query tile and the query tail.
+    #[test]
+    fn strided_scan_equals_a_copied_sub_slab_bitwise() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (d, ld) = (7usize, 61usize);
+        let ct: Vec<f32> = (0..d * ld).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        for (base, len) in [
+            (0usize, 61usize),
+            (3, 40),
+            (17, 16),
+            (5, 9),
+            (33, 1),
+            (60, 1),
+            (20, 0),
+        ] {
+            let mut sub = vec![0.0f32; d * len];
+            for l in 0..d {
+                sub[l * len..(l + 1) * len]
+                    .copy_from_slice(&ct[l * ld + base..l * ld + base + len]);
+            }
+            let ids: Vec<u32> = (base as u32..(base + len) as u32).collect();
+            for nq in 1..=9usize {
+                let panel: Vec<f32> = (0..nq * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let scan = |slab: &[f32], stride: usize| {
+                    let mut sel: Vec<TopKSelector> =
+                        (0..nq).map(|_| TopKSelector::new(len)).collect();
+                    scan_block(&panel, d, nq, slab, stride, &ids, &mut sel);
+                    sel.into_iter()
+                        .map(TopKSelector::into_sorted)
+                        .collect::<Vec<_>>()
+                };
+                let (strided, copied) = (scan(&ct[base..], ld), scan(&sub, len));
+                for (s, c) in strided.iter().zip(&copied) {
+                    let bits = |r: &[(u32, f32)]| {
+                        r.iter().map(|&(i, v)| (i, v.to_bits())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(s), bits(c), "base={base} len={len} nq={nq}");
+                }
             }
         }
     }

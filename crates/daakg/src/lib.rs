@@ -67,11 +67,12 @@
 //! trait over [`QueryOptions`]:
 //!
 //! * [`AlignmentService`] (from `.build()`) — one corpus, one slab, the
-//!   batched scan kernel;
+//!   batched scan kernel: the one-partition case of the serving core;
 //! * [`ShardedService`] (from `.shards(n)` + `.build_sharded()`) — the
-//!   right-KG corpus partitioned across `n` scatter-gather shards, each
-//!   with its own slab and per-shard IVF index. Exact answers are
-//!   **bitwise-identical** to the unsharded service, ties included.
+//!   same core over `n` partitions: column ranges of the one slab,
+//!   scanned in place, each with its own IVF index, built at each
+//!   publish. Exact answers are **bitwise-identical** to the unsharded
+//!   service, ties included.
 //!   Adding `.ingress(IngressConfig { .. })` puts a micro-batching
 //!   window in front: concurrent single queries coalesce into batched
 //!   kernel dispatches (see the README's serving-topology section for
@@ -144,6 +145,7 @@
 //! | `snapshot.ents1` / `snapshot.mapped_ents1` as `Tensor` | `Arc<Tensor>` (shared across compaction folds; reads deref unchanged, `Tensor::clone(&snapshot.ents1)` for an owned copy) |
 //! | per-upsert `d0000000042.dseg` segment files in a live store | one delta log (`l<lineage>-<first id>.dlog`); a store still holding a `.dseg` is refused at `enable_live` with a typed `Corrupt` naming it |
 //! | `service.prune_shared(k)` (**removed**) | `service.prune(k)` (`&self`, exact, returns the count freed; `prune_with_store(k)` also takes `&self` now) |
+//! | `sharded.train(&labels)` / `sharded.align_rounds(&labels, n)` (**removed**) | `sharded.service().train(&labels)?` / `sharded.service().align_rounds(&labels, n)?` (every publish now builds its version's partitions, so there is nothing to pre-warm; `sharded.prewarm()` is a no-op) |
 //!
 //! Holding an `Arc<AlignmentSnapshot>` from [`AlignmentService::current`]
 //! pins that version for as long as needed — retraining never invalidates

@@ -238,11 +238,14 @@ impl PipelineBuilder {
     }
 
     /// Partition the right-KG corpus across `shards` scatter-gather
-    /// partitions, each with its own candidate slab (and per-shard IVF
-    /// index when [`PipelineBuilder::index`] is set). Switches the build
-    /// target to [`PipelineBuilder::build_sharded`]; `1..=4096` is
-    /// enforced there. Exact sharded answers are bitwise-identical to the
-    /// unsharded service's.
+    /// partitions: column ranges of the snapshot's one candidate slab,
+    /// scanned in place, each with its own IVF index when
+    /// [`PipelineBuilder::index`] is set (one partition is the unsharded
+    /// service). Every publish builds its version's partitions before
+    /// readers see it. Switches the build target to
+    /// [`PipelineBuilder::build_sharded`]; `1..=4096` is enforced there.
+    /// Exact sharded answers are bitwise-identical to the unsharded
+    /// service's.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
