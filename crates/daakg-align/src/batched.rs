@@ -39,8 +39,7 @@ use crate::weights::EntityWeights;
 use daakg_autograd::tensor::dot_unrolled as dot;
 use daakg_autograd::Tensor;
 use daakg_index::scan::{
-    normalize_rows_cosine, scan_block, scan_block_observed, top_k_of_scores, ScoreSink,
-    TopKSelector,
+    normalize_rows_cosine, observe_each, scan_block, scan_block_observed, ScoreSink, TopKSelector,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -71,6 +70,36 @@ impl ScoreSink for ColumnMax {
         let c = &mut self.0[id as usize];
         if score > *c {
             *c = score;
+        }
+    }
+
+    /// Over consecutive ids, the same `if s > c { c = s }` per column over
+    /// the tile's rows in order, vectorized across columns; any other ids
+    /// (repeats included) take [`observe_each`].
+    #[inline(always)]
+    fn observe_tile<const R: usize, const W: usize>(
+        &mut self,
+        ids: &[u32; W],
+        tile: &[[f32; W]; R],
+    ) {
+        let first = ids[0] as usize;
+        let consecutive = ids
+            .iter()
+            .enumerate()
+            .fold(true, |all, (t, &id)| all & (id as usize == first + t));
+        match self.0.get_mut(first..first + W) {
+            Some(cols) if consecutive => {
+                for (t, c) in cols.iter_mut().enumerate() {
+                    let mut m = *c;
+                    for row in tile {
+                        if row[t] > m {
+                            m = row[t];
+                        }
+                    }
+                    *c = m;
+                }
+            }
+            _ => observe_each(self, ids, tile),
         }
     }
 }
@@ -195,22 +224,45 @@ impl BatchedSimilarity {
     }
 
     /// Best `k` candidates of one query, descending score, index-ascending
-    /// on ties. `O(n log k)` via a bounded heap.
+    /// on ties: the one-query case of [`BatchedSimilarity::top_k_block`],
+    /// `O(n log k)` via a bounded heap with no score buffer.
     pub fn top_k(&self, query: u32, k: usize) -> Vec<(u32, f32)> {
-        top_k_of_scores(&self.scores(query), k)
+        let mut lists = self.top_k_cols(&[query], 0..self.num_candidates(), k);
+        lists.pop().expect("one ranking per query")
     }
 
     /// Best `k` candidates for every query in `queries`. Returns one
     /// ranking per query, in input order.
     ///
-    /// The loop nest is *candidate-outer*: the query block is gathered into
-    /// a dense L1-resident panel, then the candidate matrix streams through
-    /// exactly once per block while per-query bounded heaps absorb scores
-    /// on the fly. No `|queries| × n₂` score block is ever materialized, so
-    /// memory traffic is one candidate-matrix pass per `QUERY_BLOCK`
-    /// queries instead of one per query.
+    /// The queries split into contiguous ranges run across the calling
+    /// thread's worker budget ([`daakg_parallel::par_map_ranges`]). Each
+    /// range is gathered into `QUERY_BLOCK`-row panels, and the scan
+    /// kernel sweeps the candidate slab in cache-sized column blocks,
+    /// scoring each block with every query tile of the panel while it is
+    /// resident; per-query bounded heaps absorb the scores on the fly, so
+    /// no `|queries| × n₂` score block is ever materialized. A query's
+    /// selection does not depend on its range or panel, so the rankings
+    /// are bitwise the same at any budget.
     pub fn top_k_block(&self, queries: &[u32], k: usize) -> Vec<Vec<(u32, f32)>> {
-        self.top_k_cols(queries, 0..self.num_candidates(), k)
+        self.top_k_block_in(queries, k, daakg_parallel::num_threads())
+    }
+
+    /// [`BatchedSimilarity::top_k_block`] over at most `parts` query
+    /// ranges, and no more ranges than the queries fill panels.
+    pub(crate) fn top_k_block_in(
+        &self,
+        queries: &[u32],
+        k: usize,
+        parts: usize,
+    ) -> Vec<Vec<(u32, f32)>> {
+        let parts = parts.min(queries.len().div_ceil(QUERY_BLOCK));
+        let all = 0..self.num_candidates();
+        daakg_parallel::par_map_ranges(queries.len(), parts, |range| {
+            self.top_k_cols(&queries[range], all.clone(), k)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// [`BatchedSimilarity::top_k_block`] over the candidates `cols` only,
@@ -452,6 +504,133 @@ mod tests {
                 assert_eq!(a.0, b.0, "query {qi}");
                 assert!((a.1 - b.1).abs() < 1e-5);
             }
+        }
+    }
+
+    /// `top_k_block` splits its queries into ranges run across the worker
+    /// budget: at every split, on the full budget and on both halves of a
+    /// join, each ranking is bitwise a bounded selection over the query's
+    /// `scores` (the kernel-free axpy path).
+    #[test]
+    fn top_k_block_is_bitwise_equal_at_every_budget() {
+        let q = random_matrix(301, 12, 50); // five panels, a 1-query tail
+        let mut c = random_matrix(97, 12, 51);
+        let row = c.row(5).to_vec();
+        c.row_mut(80).copy_from_slice(&row); // a tie across tiles
+        let engine = BatchedSimilarity::new(&q, &c);
+        let queries: Vec<u32> = (0..301u32).rev().collect();
+        let bits = |lists: &[Vec<(u32, f32)>]| -> Vec<Vec<(u32, u32)>> {
+            lists
+                .iter()
+                .map(|l| l.iter().map(|&(j, s)| (j, s.to_bits())).collect())
+                .collect()
+        };
+        for k in [0, 1, 10, 97, 120] {
+            let want: Vec<_> = queries
+                .iter()
+                .map(|&qi| daakg_index::top_k_of_scores(&engine.scores(qi), k))
+                .collect();
+            for parts in [1, 2, 4] {
+                let got = engine.top_k_block_in(&queries, k, parts);
+                assert_eq!(bits(&got), bits(&want), "k {k} parts {parts}");
+            }
+            let full = engine.top_k_block(&queries, k);
+            assert_eq!(bits(&full), bits(&want), "k {k} full budget");
+            let (left, right) = daakg_parallel::join(
+                || engine.top_k_block(&queries, k),
+                || engine.top_k_block(&queries, k),
+            );
+            assert_eq!(bits(&left), bits(&want), "k {k} left half budget");
+            assert_eq!(bits(&right), bits(&want), "k {k} right half budget");
+        }
+    }
+
+    /// `ColumnMax`'s tile override keeps per-score `observe`'s result bit
+    /// for bit: over consecutive, repeated and descending ids, with `-0.0`,
+    /// NaN, infinities and all-negative columns against the `+0.0` start.
+    #[test]
+    fn column_max_tile_matches_per_score_observe_bitwise() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -1.0,
+            0.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(61);
+        let id_sets: [Vec<u32>; 3] = [
+            (4..20).collect(),
+            (0..16).map(|t| t / 2).collect(),
+            (0..16).rev().collect(),
+        ];
+        for ids in &id_sets {
+            let ids: &[u32; 16] = ids.as_slice().try_into().unwrap();
+            for trial in 0..64 {
+                let mut draw = || match rng.gen_range(0usize..4) {
+                    0 => specials[rng.gen_range(0..specials.len())],
+                    1 => -rng.gen_range(0.0f32..1.0),
+                    _ => rng.gen_range(-1.0f32..1.0),
+                };
+                let tile: [[f32; 16]; 4] = std::array::from_fn(|_| std::array::from_fn(|_| draw()));
+                let (mut fast, mut slow) = (ColumnMax(vec![0.0; 24]), ColumnMax(vec![0.0; 24]));
+                for _ in 0..2 {
+                    fast.observe_tile(ids, &tile);
+                    observe_each(&mut slow, ids, &tile);
+                }
+                let bits = |c: &ColumnMax| c.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "ids {ids:?} trial {trial}");
+            }
+        }
+    }
+
+    /// `round_scan` against a one-score-at-a-time reference by bits: zero
+    /// query rows and zero candidate rows score exactly `0.0` against the
+    /// column maxima's `+0.0` start, and a candidate every query scores
+    /// negatively keeps `+0.0`.
+    #[test]
+    fn round_scan_matches_the_scalar_reference_bitwise() {
+        let mut q = random_matrix(11, 6, 70);
+        for v in q.as_mut_slice().iter_mut() {
+            *v = v.abs() + 0.01;
+        }
+        q.row_mut(4).fill(0.0);
+        let mut c = random_matrix(70, 6, 71);
+        c.row_mut(9).fill(0.0);
+        for v in c.row_mut(17).iter_mut() {
+            *v = -v.abs() - 0.01;
+        }
+        let engine = BatchedSimilarity::new(&q, &c);
+        let (qn, cn) = (engine.normalized_queries(), engine.normalized_candidates());
+        let mut right = vec![0.0f32; c.rows()];
+        let mut best = Vec::new();
+        for i in 0..q.rows() {
+            let mut sel = TopKSelector::new(1);
+            for (j, r) in right.iter_mut().enumerate() {
+                let mut s = 0.0f32;
+                for (a, b) in qn.row(i).iter().zip(cn.row(j)) {
+                    s += a * b;
+                }
+                sel.push(j as u32, s);
+                if s > *r {
+                    *r = s;
+                }
+            }
+            best.push(sel.into_sorted().pop().map(|(j, s)| (j, s.to_bits())));
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(right[9].to_bits(), 0.0f32.to_bits());
+        assert_eq!(right[17].to_bits(), 0.0f32.to_bits());
+        for parts in [1, 2, 3] {
+            let scan = engine.round_scan_in(parts);
+            let got: Vec<_> = scan
+                .best
+                .iter()
+                .map(|b| b.map(|(j, s)| (j, s.to_bits())))
+                .collect();
+            assert_eq!(got, best, "parts {parts}");
+            assert_eq!(bits(&scan.weights.right), bits(&right), "parts {parts}");
         }
     }
 

@@ -44,7 +44,6 @@ enum Op {
     MeanAll(Var),
     Relu(Var),
     Tanh(Var),
-    Sigmoid(Var),
     Exp(Var),
     Log(Var),
     Neg(Var),
@@ -326,12 +325,6 @@ impl Graph {
     pub fn tanh(&mut self, a: Var) -> Var {
         let out = self.value(a).map(f32::tanh);
         self.push(out, Op::Tanh(a))
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(out, Op::Sigmoid(a))
     }
 
     /// Elementwise `exp`.
@@ -646,17 +639,6 @@ impl Graph {
                     .iter()
                     .zip(y.as_slice())
                     .map(|(gv, yv)| gv * (1.0 - yv * yv))
-                    .collect();
-                self.accumulate(a, Tensor::from_vec(g.rows(), g.cols(), data));
-            }
-            Op::Sigmoid(a) => {
-                let a = *a;
-                let y = self.nodes[idx].value.clone();
-                let data = g
-                    .as_slice()
-                    .iter()
-                    .zip(y.as_slice())
-                    .map(|(gv, yv)| gv * yv * (1.0 - yv))
                     .collect();
                 self.accumulate(a, Tensor::from_vec(g.rows(), g.cols(), data));
             }
@@ -1052,14 +1034,14 @@ mod tests {
 
     #[test]
     fn chain_through_many_ops() {
-        // loss = mean(sigmoid(tanh(x) * 2 + 1))
+        // loss = mean(exp(tanh(x) * 2 + 1))
         let (_, grad) = scalar_graph(
             |g, v| {
                 let t = g.tanh(v);
                 let m = g.mul_scalar(t, 2.0);
                 let a = g.add_scalar(m, 1.0);
-                let s = g.sigmoid(a);
-                g.mean_all(s)
+                let e = g.exp(a);
+                g.mean_all(e)
             },
             Tensor::row_vector(&[0.3, -0.7]),
         );

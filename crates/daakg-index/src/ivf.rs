@@ -18,9 +18,9 @@
 //! Inverted lists are stored **centroid-major and transposed**: list `l`
 //! owns one contiguous `d × len(l)` block (`d` rows of `len(l)` floats),
 //! so a probe streams a single cache-friendly slab through the same
-//! 4×16 register-tiled scan kernel ([`crate::scan::scan_block`]) the
-//! exhaustive engine runs on, with the list's original candidate ids
-//! remapped at push time.
+//! register-tiled scan kernel ([`crate::scan::scan_block`]) the
+//! exhaustive engine runs on — one query scores 64 list rows per tile —
+//! with the list's original candidate ids remapped at push time.
 
 use crate::kmeans::spherical_kmeans;
 use crate::scan::{scan_block, TopKSelector};

@@ -7,9 +7,11 @@
 //! serving at scale.
 //!
 //! * [`scan`] — the shared candidate-scan machinery: the bounded
-//!   [`scan::TopKSelector`], the 4×16 register-tiled [`scan::scan_block`]
-//!   kernel with runtime AVX2+FMA dispatch, and the cosine-convention row
-//!   normalization. `daakg_align::BatchedSimilarity` (the exhaustive
+//!   [`scan::TopKSelector`], the register-tiled, column-blocked
+//!   [`scan::scan_block`] kernel (4 queries × 16 candidates; 1 × 64,
+//!   2 × 32 or 3 × 16 for 1–3 tail queries; one vector compare rejects a
+//!   tile row) with runtime AVX2+FMA dispatch, and the cosine-convention
+//!   row normalization. `daakg_align::BatchedSimilarity` (the exhaustive
 //!   oracle) runs on exactly this kernel, which is what makes full-probe
 //!   IVF searches bitwise comparable to it.
 //! * [`kmeans`] — the coarse quantizer: k-means++-seeded spherical

@@ -1,5 +1,6 @@
 //! The shared candidate-scan kernel: bounded top-k selection fed by a
-//! 4-query × 16-candidate register-tiled dot-product sweep.
+//! register-tiled dot-product sweep (4 queries × 16 candidates, and
+//! 1 × 64, 2 × 32 or 3 × 16 for a panel's tail rows).
 //!
 //! This module hosts the machinery that both similarity engines run on:
 //!
@@ -7,9 +8,11 @@
 //!   with a cached rejection threshold, keeping the best `k` candidates
 //!   under the canonical *(score descending, id ascending)* order;
 //! * [`scan_block`] — the blocked scan: a gathered query panel against a
-//!   *transposed* candidate block, accumulating a 4×16 register tile
-//!   vertically (no horizontal reductions), with an AVX2+FMA
-//!   re-compilation selected by runtime dispatch on x86-64;
+//!   *transposed* candidate block, swept in cache-sized column blocks,
+//!   accumulating register tiles vertically (no horizontal reductions),
+//!   rejecting a tile row below its selector's threshold with one vector
+//!   compare, with an AVX2+FMA re-compilation selected by runtime
+//!   dispatch on x86-64;
 //! * [`normalize_rows_cosine`] — the one-time row normalization that
 //!   turns cosine similarity into a plain dot product while preserving
 //!   the `cos(0, ·) = 0` degenerate-row convention.
@@ -123,6 +126,13 @@ impl TopKSelector {
         }
     }
 
+    /// The rejection threshold: [`TopKSelector::push`] rejects every
+    /// `score < threshold()` without touching the heap.
+    #[inline]
+    pub(crate) fn threshold(&self) -> f32 {
+        self.threshold
+    }
+
     /// Number of candidates currently retained.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -165,17 +175,65 @@ pub fn normalize_rows_cosine(t: &mut Tensor) {
     }
 }
 
-/// Candidates per register tile of the scan kernel: 4 queries × 16
+/// Candidates per register tile of a 4-query tile: 4 queries × 16
 /// candidates = 64 accumulators, two 8-lane vectors per query on AVX2.
 const SCAN_TILE: usize = 16;
 
+/// Candidates per register tile of the 1–3-query tail, by tail rows:
+/// 1 × 64, 2 × 32 and 3 × 16, so at most 64 accumulators (eight 8-lane
+/// vectors on AVX2) stay in registers while each slab load feeds every
+/// tail query. Wider tails spill the accumulators.
+const TAIL_TILES: [usize; 3] = [64, 32, 16];
+
+/// Bytes of the transposed slab swept per column block: every query tile
+/// of a panel scans one block while it is L2-resident before the sweep
+/// moves on, instead of streaming the whole slab once per tile.
+const BLOCK_BYTES: usize = 256 * 1024;
+
+/// Columns per [`BLOCK_BYTES`] block at depth `d`, a whole number of the
+/// widest tail tiles.
+fn block_cols(d: usize) -> usize {
+    let w = TAIL_TILES[0];
+    (BLOCK_BYTES / (4 * d.max(1))).max(w) / w * w
+}
+
 /// A second consumer of the scan kernel's scores, fed beside the
 /// per-query selectors: every `(candidate id, score)` the kernel computes
-/// is offered to it as well. `()` observes nothing — the plain top-k scan,
-/// which compiles to the same loop as before the sink existed.
+/// is offered to it as well. `()` observes nothing — the plain top-k scan.
+///
+/// The scores of one column reach the sink in query order; the kernel
+/// sweeps column blocks, so columns of different blocks interleave.
 pub trait ScoreSink {
     /// Observe one computed score of candidate `id`.
     fn observe(&mut self, id: u32, score: f32);
+
+    /// Observe one register tile: `tile[r][t]` is query row `r`'s score of
+    /// candidate `ids[t]`. The default observes column by column, rows in
+    /// order within a column ([`observe_each`]); a sink may override it
+    /// with a vectorized body that keeps that result.
+    #[inline(always)]
+    fn observe_tile<const R: usize, const W: usize>(
+        &mut self,
+        ids: &[u32; W],
+        tile: &[[f32; W]; R],
+    ) {
+        observe_each(self, ids, tile);
+    }
+}
+
+/// [`ScoreSink::observe_tile`]'s default: one [`ScoreSink::observe`] per
+/// score, column by column, rows in order within a column.
+#[inline(always)]
+pub fn observe_each<S: ScoreSink + ?Sized, const R: usize, const W: usize>(
+    sink: &mut S,
+    ids: &[u32; W],
+    tile: &[[f32; W]; R],
+) {
+    for (t, &id) in ids.iter().enumerate() {
+        for row in tile {
+            sink.observe(id, row[t]);
+        }
+    }
 }
 
 impl ScoreSink for () {
@@ -183,15 +241,113 @@ impl ScoreSink for () {
     fn observe(&mut self, _id: u32, _score: f32) {}
 }
 
+/// Scores of `R` queries against candidate columns `j0..j0 + W` of the
+/// transposed slab, accumulated *vertically*: per depth step one `W`-wide
+/// slab load is broadcast-multiplied by each query's scalar and added to
+/// that query's accumulator row — no horizontal reduction, and each load
+/// feeds `R` rows. Every score starts from `0.0` and adds `q[l] * c[l]`
+/// for `l = 0..d` in order, a separate multiply and add, so its bits do
+/// not depend on the tile shape that computed it.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn tile_scores<const R: usize, const W: usize>(
+    qs: &[&[f32]; R],
+    ct: &[f32],
+    ld: usize,
+    j0: usize,
+    d: usize,
+) -> [[f32; W]; R] {
+    let qs: [&[f32]; R] = std::array::from_fn(|r| &qs[r][..d]);
+    let mut acc = [[0.0f32; W]; R];
+    for l in 0..d {
+        let slab: &[f32; W] = ct[l * ld + j0..]
+            .first_chunk()
+            .expect("a tile lies within the slab");
+        for r in 0..R {
+            let b = qs[r][l];
+            for t in 0..W {
+                acc[r][t] += b * slab[t];
+            }
+        }
+    }
+    acc
+}
+
+/// Feed one computed tile to the selectors and the sink. A row whose
+/// every score is below its selector's threshold is skipped with one
+/// vector compare: `!(s < threshold)` is the exact negation of
+/// [`TopKSelector::push`]'s reject test (NaN included), and nothing is
+/// pushed in between, so the skip rejects only what `push` would. A row
+/// with a passing lane is pushed in column order.
+// `!(s < threshold)` is meant: it passes NaN, as `push` does.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[inline(always)]
+fn emit_tile<S: ScoreSink, const R: usize, const W: usize>(
+    tile: &[[f32; W]; R],
+    ids: &[u32; W],
+    selectors: &mut [TopKSelector],
+    sink: &mut S,
+) {
+    for (row, sel) in tile.iter().zip(selectors.iter_mut()) {
+        let threshold = sel.threshold();
+        if row.iter().fold(false, |any, &s| any | !(s < threshold)) {
+            for (&id, &s) in ids.iter().zip(row) {
+                sel.push(id, s);
+            }
+        }
+    }
+    sink.observe_tile(ids, tile);
+}
+
+/// The ids of the `W` columns from `j`.
+#[inline(always)]
+fn tile_ids<const W: usize>(ids: &[u32], j: usize) -> &[u32; W] {
+    ids[j..]
+        .first_chunk()
+        .expect("a tile lies within the columns")
+}
+
+/// Scan the columns `cols` for the `R` query rows `qs`: `W`-wide tiles,
+/// then [`SCAN_TILE`]-wide ones, then single columns.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn sweep<S: ScoreSink, const R: usize, const W: usize>(
+    qs: &[&[f32]; R],
+    d: usize,
+    ct: &[f32],
+    ld: usize,
+    ids: &[u32],
+    cols: std::ops::Range<usize>,
+    selectors: &mut [TopKSelector],
+    sink: &mut S,
+) {
+    let mut j = cols.start;
+    while j + W <= cols.end {
+        let tile = tile_scores::<R, W>(qs, ct, ld, j, d);
+        emit_tile(&tile, tile_ids(ids, j), selectors, sink);
+        j += W;
+    }
+    while j + SCAN_TILE <= cols.end {
+        let tile = tile_scores::<R, SCAN_TILE>(qs, ct, ld, j, d);
+        emit_tile(&tile, tile_ids(ids, j), selectors, sink);
+        j += SCAN_TILE;
+    }
+    while j < cols.end {
+        let tile = tile_scores::<R, 1>(qs, ct, ld, j, d);
+        emit_tile(&tile, tile_ids(ids, j), selectors, sink);
+        j += 1;
+    }
+}
+
 /// Scan every candidate column of a transposed block against a gathered
 /// query panel (`nq` rows of `d` floats in `ps`), feeding the per-query
 /// bounded selectors and the score sink.
 ///
 /// `ct` is the *transposed* candidate block (`d` rows of `n` floats, `ld`
-/// apart), so the kernel accumulates a 4-query × 16-candidate register tile
-/// *vertically*: per depth step it loads one 16-wide candidate slab,
-/// broadcasts four query scalars, and issues eight 8-lane FMAs — no
-/// horizontal reduction anywhere, and each candidate load feeds four MACs.
+/// apart). The sweep is column-block outer: each [`BLOCK_BYTES`] block of
+/// columns is scanned by every 4-query × 16-candidate register tile of the
+/// panel, then by the [`TAIL_TILES`] tile of the panel's 1–3 tail rows,
+/// while it stays cache-resident.
 ///
 /// `ids[j]` is the id pushed for column `j` (`n = ids.len()`): the
 /// identity map for an exhaustive scan, the inverted-list id slice for an
@@ -199,9 +355,7 @@ impl ScoreSink for () {
 ///
 /// `#[inline(always)]` so the `#[target_feature]` wrapper below inlines
 /// this body and re-vectorizes it with the wider instruction set.
-// Index-based tile loops are deliberate: the accumulator tile must be
-// addressed by lane for the vectorizer to keep it in registers.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn scan_panel<S: ScoreSink>(
     ps: &[f32],
@@ -215,82 +369,32 @@ fn scan_panel<S: ScoreSink>(
 ) {
     let n = ids.len();
     debug_assert!(d == 0 || ct.len() >= (d - 1) * ld + n);
-    let mut qi = 0;
-    while qi + 4 <= nq {
-        let b = qi * d;
-        let q0 = &ps[b..b + d];
-        let q1 = &ps[b + d..b + 2 * d];
-        let q2 = &ps[b + 2 * d..b + 3 * d];
-        let q3 = &ps[b + 3 * d..b + 4 * d];
-        let [s0, s1, s2, s3] = {
-            let (h0, rest) = selectors[qi..].split_at_mut(1);
-            let (h1, rest) = rest.split_at_mut(1);
-            let (h2, h3) = rest.split_at_mut(1);
-            [&mut h0[0], &mut h1[0], &mut h2[0], &mut h3[0]]
-        };
-        let mut j0 = 0;
-        while j0 + SCAN_TILE <= n {
-            let mut acc = [[0.0f32; SCAN_TILE]; 4];
-            for l in 0..d {
-                let slab = &ct[l * ld + j0..l * ld + j0 + SCAN_TILE];
-                let (b0, b1, b2, b3) = (q0[l], q1[l], q2[l], q3[l]);
-                for t in 0..SCAN_TILE {
-                    let cv = slab[t];
-                    acc[0][t] += b0 * cv;
-                    acc[1][t] += b1 * cv;
-                    acc[2][t] += b2 * cv;
-                    acc[3][t] += b3 * cv;
-                }
-            }
-            for t in 0..SCAN_TILE {
-                let j = ids[j0 + t];
-                s0.push(j, acc[0][t]);
-                s1.push(j, acc[1][t]);
-                s2.push(j, acc[2][t]);
-                s3.push(j, acc[3][t]);
-                for a in &acc {
-                    sink.observe(j, a[t]);
-                }
-            }
-            j0 += SCAN_TILE;
+    let rows = |qi: usize| &ps[qi * d..(qi + 1) * d];
+    let block = block_cols(d);
+    let mut c0 = 0;
+    while c0 < n {
+        let cols = c0..(c0 + block).min(n);
+        let mut qi = 0;
+        while qi + 4 <= nq {
+            let qs = [rows(qi), rows(qi + 1), rows(qi + 2), rows(qi + 3)];
+            let sel = &mut selectors[qi..qi + 4];
+            sweep::<S, 4, SCAN_TILE>(&qs, d, ct, ld, ids, cols.clone(), sel, sink);
+            qi += 4;
         }
-        // Candidate tail (< SCAN_TILE columns): strided scalar access.
-        while j0 < n {
-            let mut s = [0.0f32; 4];
-            for l in 0..d {
-                let cv = ct[l * ld + j0];
-                s[0] += q0[l] * cv;
-                s[1] += q1[l] * cv;
-                s[2] += q2[l] * cv;
-                s[3] += q3[l] * cv;
+        let sel = &mut selectors[qi..nq];
+        match nq - qi {
+            1 => sweep::<S, 1, { TAIL_TILES[0] }>(&[rows(qi)], d, ct, ld, ids, cols, sel, sink),
+            2 => {
+                let qs = [rows(qi), rows(qi + 1)];
+                sweep::<S, 2, { TAIL_TILES[1] }>(&qs, d, ct, ld, ids, cols, sel, sink)
             }
-            let j = ids[j0];
-            s0.push(j, s[0]);
-            s1.push(j, s[1]);
-            s2.push(j, s[2]);
-            s3.push(j, s[3]);
-            for &v in &s {
-                sink.observe(j, v);
+            3 => {
+                let qs = [rows(qi), rows(qi + 1), rows(qi + 2)];
+                sweep::<S, 3, { TAIL_TILES[2] }>(&qs, d, ct, ld, ids, cols, sel, sink)
             }
-            j0 += 1;
+            _ => {}
         }
-        qi += 4;
-    }
-    // Query tail (< 4 rows): one vertical axpy sweep per query.
-    while qi < nq {
-        let q = &ps[qi * d..(qi + 1) * d];
-        let mut buf = vec![0.0f32; n];
-        for (l, &bq) in q.iter().enumerate() {
-            for (o, &cv) in buf.iter_mut().zip(&ct[l * ld..l * ld + n]) {
-                *o += bq * cv;
-            }
-        }
-        let sel = &mut selectors[qi];
-        for (j, &s) in buf.iter().enumerate() {
-            sel.push(ids[j], s);
-            sink.observe(ids[j], s);
-        }
-        qi += 1;
+        c0 += block;
     }
 }
 
@@ -505,6 +609,198 @@ mod tests {
                         r.iter().map(|&(i, v)| (i, v.to_bits())).collect::<Vec<_>>()
                     };
                     assert_eq!(bits(s), bits(c), "base={base} len={len} nq={nq}");
+                }
+            }
+        }
+    }
+
+    /// Every score the kernel offers a sink, by id, in arrival order.
+    #[derive(Default)]
+    struct Record(std::collections::BTreeMap<u32, Vec<u32>>);
+
+    impl ScoreSink for Record {
+        fn observe(&mut self, id: u32, score: f32) {
+            self.0.entry(id).or_default().push(score.to_bits());
+        }
+    }
+
+    type Lists = Vec<Vec<(u32, u32)>>;
+
+    fn bits(selectors: Vec<TopKSelector>) -> Lists {
+        selectors
+            .into_iter()
+            .map(|s| {
+                s.into_sorted()
+                    .into_iter()
+                    .map(|(i, v)| (i, v.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The kernel's contract one score at a time: accumulate from `0.0`
+    /// in `l` order with a separate multiply and add, then push and
+    /// observe in column order, query by query. Returns the selections
+    /// at each of `ks` and what a sink observed.
+    fn reference_scan(
+        ps: &[f32],
+        d: usize,
+        nq: usize,
+        ct: &[f32],
+        ld: usize,
+        ids: &[u32],
+        ks: &[usize],
+    ) -> (Vec<Lists>, Record) {
+        let mut record = Record::default();
+        let mut selectors: Vec<Vec<TopKSelector>> = ks
+            .iter()
+            .map(|&k| (0..nq).map(|_| TopKSelector::new(k)).collect())
+            .collect();
+        for qi in 0..nq {
+            for (j, &id) in ids.iter().enumerate() {
+                let mut s = 0.0f32;
+                for l in 0..d {
+                    s += ps[qi * d + l] * ct[l * ld + j];
+                }
+                for sel in &mut selectors {
+                    sel[qi].push(id, s);
+                }
+                record.observe(id, s);
+            }
+        }
+        (selectors.into_iter().map(bits).collect(), record)
+    }
+
+    /// A panel and a strided slab (`ld = n + 5`, read from column 2) of
+    /// one of five shapes: random; coarse multiples of ¼ with many exact
+    /// ties; one column repeated (every score of a query equal); zero
+    /// query rows and zero columns; all-negative scores.
+    fn scan_case(
+        rng: &mut StdRng,
+        shape: usize,
+        d: usize,
+        nq: usize,
+        n: usize,
+    ) -> (Vec<f32>, Vec<f32>, usize) {
+        let ld = n + 5;
+        let draw = |rng: &mut StdRng| match shape {
+            1 => rng.gen_range(-4i32..5) as f32 / 4.0,
+            4 => rng.gen_range(0.05f32..1.0),
+            _ => rng.gen_range(-1.0f32..1.0),
+        };
+        let mut ps: Vec<f32> = (0..nq * d).map(|_| draw(rng)).collect();
+        let mut ct: Vec<f32> = (0..d * ld).map(|_| draw(rng)).collect();
+        match shape {
+            2 => {
+                for l in 0..d {
+                    let v = ct[l * ld + 2];
+                    ct[l * ld..(l + 1) * ld].fill(v);
+                }
+            }
+            3 => {
+                for qi in (0..nq).step_by(2) {
+                    ps[qi * d..(qi + 1) * d].fill(0.0);
+                }
+                for l in 0..d {
+                    for j in (2..ld).step_by(3) {
+                        ct[l * ld + j] = 0.0;
+                    }
+                }
+            }
+            4 => ct.iter_mut().for_each(|v| *v = -*v),
+            _ => {}
+        }
+        (ps, ct, ld)
+    }
+
+    /// The tiled, blocked, threshold-skipping kernel selects and observes
+    /// bitwise what the one-score-at-a-time reference does: every query
+    /// count through the 4-query tiles and each tail, column counts around
+    /// every tile width and the column block, permuted ids (a late lower
+    /// id must evict an equal score), and `k` from 0 past `n` — every `k`
+    /// below a block, one per query count across blocks.
+    #[test]
+    fn scan_kernel_matches_the_scalar_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let d = 12;
+        let block = block_cols(d);
+        let ns = [
+            0,
+            1,
+            15,
+            16,
+            17,
+            63,
+            64,
+            65,
+            block - 1,
+            block + 1,
+            3 * block + 7,
+        ];
+        for (ni, &n) in ns.iter().enumerate() {
+            // Ids in reverse with a stride, as an inverted list holds them:
+            // later columns carry lower ids.
+            let ids: Vec<u32> = (0..n as u32).rev().map(|j| j * 3 + 1).collect();
+            for nq in 1..=9usize {
+                let shape = (ni + nq) % 5;
+                let (ps, ct, ld) = scan_case(&mut rng, shape, d, nq, n);
+                let slab = &ct[2..];
+                let all = [0, 1, 2, 10, n, n + 5];
+                let ks = if n < block {
+                    &all[..]
+                } else {
+                    &all[nq % 6..nq % 6 + 1]
+                };
+                let (want, want_record) = reference_scan(&ps, d, nq, slab, ld, &ids, ks);
+                for (ki, (&k, want)) in ks.iter().zip(want).enumerate() {
+                    let mut sel: Vec<TopKSelector> =
+                        (0..nq).map(|_| TopKSelector::new(k)).collect();
+                    let case = format!("n={n} nq={nq} shape={shape} k={k}");
+                    if ki == 0 {
+                        let mut record = Record::default();
+                        scan_block_observed(&ps, d, nq, slab, ld, &ids, &mut sel, &mut record);
+                        assert_eq!(record.0, want_record.0, "{case}: sink");
+                    } else {
+                        scan_block(&ps, d, nq, slab, ld, &ids, &mut sel);
+                    }
+                    assert_eq!(bits(sel), want, "{case}");
+                }
+            }
+        }
+    }
+
+    /// The portable compilation of the kernel and the AVX2 one it
+    /// dispatches to on capable hosts agree bitwise (on a host without
+    /// AVX2 both sides run the portable code).
+    #[test]
+    fn scan_portable_and_dispatched_kernels_agree_bitwise() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for (d, n) in [(32usize, 200usize), (7, 1000), (32, 3 * block_cols(32) + 7)] {
+            let ids: Vec<u32> = (0..n as u32).collect();
+            for nq in 1..=9usize {
+                for shape in [nq % 5, (nq + 2) % 5] {
+                    let (ps, ct, ld) = scan_case(&mut rng, shape, d, nq, n);
+                    let run = |portable: bool| {
+                        let mut sel: Vec<TopKSelector> =
+                            (0..nq).map(|_| TopKSelector::new(10)).collect();
+                        let mut record = Record::default();
+                        if portable {
+                            scan_panel(&ps, d, nq, &ct[2..], ld, &ids, &mut sel, &mut record);
+                        } else {
+                            scan_block_observed(
+                                &ps,
+                                d,
+                                nq,
+                                &ct[2..],
+                                ld,
+                                &ids,
+                                &mut sel,
+                                &mut record,
+                            );
+                        }
+                        (bits(sel), record.0)
+                    };
+                    assert_eq!(run(true), run(false), "d={d} n={n} nq={nq} shape={shape}");
                 }
             }
         }
