@@ -1376,15 +1376,25 @@ impl LiveStats {
 // Compactor thread
 // ---------------------------------------------------------------------------
 
+/// What the compactor thread waits on; both flags live under one mutex
+/// so a wakeup sent before the thread waits, or while the task runs, is
+/// recorded rather than lost.
+#[derive(Default)]
+struct CompactorFlags {
+    /// `true` once shutdown begins.
+    stop: bool,
+    /// A [`Compactor::nudge`] not yet answered by a task run.
+    nudged: bool,
+}
+
 struct CompactorShared {
-    /// `true` once shutdown begins; guarded by the tick mutex.
-    stop: Mutex<bool>,
+    flags: Mutex<CompactorFlags>,
     /// Periodic tick + shutdown + nudge wakeups.
     tick: Condvar,
 }
 
 /// The background compaction thread: runs a caller-supplied task every
-/// tick (or on [`Compactor::nudge`]), isolating panics at the task
+/// tick and on [`Compactor::nudge`], isolating panics at the task
 /// boundary exactly like the ingress dispatch loop. Dropping the handle
 /// stops and joins the thread — no detached threads outlive the service.
 pub(crate) struct Compactor {
@@ -1393,18 +1403,19 @@ pub(crate) struct Compactor {
 }
 
 impl Compactor {
-    /// Spawn the `daakg-compact` thread running `task` every `interval`.
-    /// A caught task panic counts into `stats.panics` and journals a
+    /// Spawn the `daakg-compact` thread running `task` every `interval`
+    /// and on each nudge; `task(true)` is a run a nudge started. A caught
+    /// task panic counts into `stats.panics` and journals a
     /// [`daakg_telemetry::EventKind::CompactorPanic`] event (`journal`
     /// may be a no-op handle).
     pub(crate) fn spawn(
         interval: Duration,
         stats: Arc<LiveStats>,
         journal: daakg_telemetry::EventJournal,
-        mut task: Box<dyn FnMut() + Send>,
+        mut task: Box<dyn FnMut(bool) + Send>,
     ) -> Self {
         let shared = Arc::new(CompactorShared {
-            stop: Mutex::new(false),
+            flags: Mutex::new(CompactorFlags::default()),
             tick: Condvar::new(),
         });
         let thread_shared = Arc::clone(&shared);
@@ -1415,24 +1426,22 @@ impl Compactor {
                 // Wait first: the task runs on ticks and nudges, never
                 // eagerly at spawn — a service that just replayed deltas
                 // keeps them pending until the configured cadence says
-                // otherwise. (A nudge landing while the task runs is
-                // absorbed by the next tick — the tick is the backstop.)
-                {
-                    let stop = lock_recover(&thread_shared.stop);
-                    if *stop {
-                        return;
-                    }
-                    let (stop, _) = thread_shared
+                // otherwise. A nudge sent at any time, even while the
+                // task runs, starts one more run.
+                let nudged = {
+                    let flags = lock_recover(&thread_shared.flags);
+                    let (mut flags, _) = thread_shared
                         .tick
-                        .wait_timeout(stop, interval)
+                        .wait_timeout_while(flags, interval, |f| !f.stop && !f.nudged)
                         .unwrap_or_else(|p| p.into_inner());
-                    if *stop {
+                    if flags.stop {
                         return;
                     }
-                }
+                    std::mem::take(&mut flags.nudged)
+                };
                 // Panic isolation: a poisoned fold must not kill the
                 // compactor — the next tick retries with fresh state.
-                if catch_unwind(AssertUnwindSafe(&mut task)).is_err() {
+                if catch_unwind(AssertUnwindSafe(|| task(nudged))).is_err() {
                     thread_stats.panics.fetch_add(1, Ordering::Relaxed);
                     journal.record(daakg_telemetry::EventKind::CompactorPanic);
                 }
@@ -1447,13 +1456,14 @@ impl Compactor {
     /// Wake the thread for an immediate compaction check (e.g. when an
     /// upsert pushes the depth past the threshold).
     pub(crate) fn nudge(&self) {
+        lock_recover(&self.shared.flags).nudged = true;
         self.shared.tick.notify_all();
     }
 }
 
 impl Drop for Compactor {
     fn drop(&mut self) {
-        *lock_recover(&self.shared.stop) = true;
+        lock_recover(&self.shared.flags).stop = true;
         self.shared.tick.notify_all();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
@@ -2055,7 +2065,7 @@ mod tests {
             Duration::from_millis(5),
             Arc::clone(&stats),
             journal.clone(),
-            Box::new(move || {
+            Box::new(move |_| {
                 let n = task_runs.fetch_add(1, Ordering::SeqCst);
                 if n == 1 {
                     panic!("injected compaction panic");
@@ -2087,6 +2097,49 @@ mod tests {
             .filter(|e| e.kind == daakg_telemetry::EventKind::CompactorPanic)
             .collect();
         assert_eq!(panics.len(), 1, "panic journaled exactly once");
+    }
+
+    /// A nudge is never lost to an hour-long tick: one sent before the
+    /// thread first waits runs the task at once, and one sent while the
+    /// task runs starts another run after it.
+    #[test]
+    fn compactor_nudge_is_never_lost() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (task_runs, task_gate) = (Arc::clone(&runs), Arc::clone(&gate));
+        let compactor = Compactor::spawn(
+            Duration::from_secs(3600),
+            Arc::new(LiveStats::default()),
+            daakg_telemetry::EventJournal::new(4),
+            Box::new(move |_| {
+                task_runs.fetch_add(1, Ordering::SeqCst);
+                // Hold the run until the test has nudged mid-run.
+                let (open, opened) = &*task_gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = opened.wait(open).unwrap();
+                }
+            }),
+        );
+        let reaches = |n: usize| {
+            let start = std::time::Instant::now();
+            while runs.load(Ordering::SeqCst) < n && start.elapsed() < Duration::from_secs(1) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            runs.load(Ordering::SeqCst) >= n
+        };
+        compactor.nudge();
+        assert!(reaches(1), "a nudge sent at spawn ran the task within 1 s");
+        // The first run is held at the gate: nudge now, then release it.
+        compactor.nudge();
+        let (open, opened) = &*gate;
+        *open.lock().unwrap() = true;
+        opened.notify_all();
+        assert!(
+            reaches(2),
+            "a nudge sent while the task ran started another run within 1 s"
+        );
+        drop(compactor);
     }
 
     #[test]

@@ -8,14 +8,19 @@
 //! across a 4-query × 16-candidate register tile. Under heavy
 //! single-query traffic that difference is the whole throughput story,
 //! so the ingress queues incoming queries and a dedicated worker drains
-//! them under a **time/size window** ([`IngressConfig`]): a batch is
-//! dispatched as soon as `max_batch` queries are pending, or `max_wait`
-//! after the oldest pending query arrived, whichever comes first.
+//! them under a **window derived from the previous dispatch**: after a
+//! batch of `b` that took `t`, it expects those `b` callers back plus
+//! what queued meanwhile, and dispatches once that many (at most
+//! `max_batch`) are pending or `t` after the dispatch ended. It never
+//! waits longer for a batch than the dispatch it hopes to save (as
+//! adaptive batchers such as Clipper do), so closed-loop callers
+//! coalesce while a lone query on an idle ingress goes out at once. A
+//! window that closes short expects none of its callers back, so
+//! open-loop traffic never waits out a dispatch per dispatch.
 //!
-//! Each drained batch is grouped by
-//! [`QueryOptions::coalesces_with`] (concurrent traffic is usually
-//! uniform, so one group is the common case) and every group runs as
-//! **one** coherent
+//! Each drained batch is grouped by [`QueryOptions::coalesces_with`]
+//! (concurrent traffic is usually uniform, so one group is the common
+//! case) and every group runs as **one** coherent
 //! [`query_batch`](crate::ShardedService::query_batch) dispatch — all
 //! answers of a group carry the same snapshot version. Waiting callers
 //! are then woken with their slice of the batch.
@@ -48,13 +53,10 @@
 //! the ingress drains the queue (pending queries get real answers) and
 //! wakes anything left with [`DaakgError::Shutdown`].
 //!
-//! Tuning: `max_wait` is the latency floor a lone query pays when no
-//! traffic arrives to share its batch, and `max_batch` bounds how much
-//! sharing a dispatch can exploit. Size `max_batch` near the expected
-//! number of concurrent callers — a window much larger than the
-//! concurrency level just waits out `max_wait` without ever filling.
-//! Size `max_queue` for the worst queueing delay you are willing to
-//! serve: at saturation the last admitted query waits roughly
+//! Tuning: `max_batch` bounds how much sharing a dispatch can exploit;
+//! size it near the expected number of concurrent callers. Size
+//! `max_queue` for the worst queueing delay you are willing to serve: at
+//! saturation the last admitted query waits roughly
 //! `max_queue / throughput`.
 
 use crate::service::{AlignmentService, Ranking, Served, Versioned};
@@ -152,16 +154,13 @@ impl DegradePolicy {
     }
 }
 
-/// The coalescing window and overload envelope of the micro-batching
-/// ingress.
+/// The batch bound and overload envelope of the micro-batching ingress.
+/// The coalescing wait has no knob: the worker derives it from its
+/// previous dispatch (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngressConfig {
     /// Dispatch as soon as this many queries are pending (`1..=65536`).
     pub max_batch: usize,
-    /// Dispatch at the latest this long after the oldest pending query
-    /// arrived (at most 1 s — the window is a latency floor under light
-    /// traffic, not a scheduling period).
-    pub max_wait: Duration,
     /// Admission bound: with this many queries already pending, further
     /// submissions fail fast with [`DaakgError::Overloaded`]
     /// (`max_batch..=1048576`). Bounding the queue bounds the worst
@@ -173,14 +172,12 @@ pub struct IngressConfig {
 }
 
 impl Default for IngressConfig {
-    /// 64 queries / 200 µs / 8192 queue slots, no degradation — sized
-    /// for the batched kernel's panel width, sub-millisecond worst-case
-    /// coalescing latency, and a queue deep enough that admission only
-    /// rejects under sustained overload.
+    /// 64 queries / 8192 queue slots, no degradation — sized for the
+    /// batched kernel's panel width and a queue deep enough that
+    /// admission only rejects under sustained overload.
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
             max_queue: 8192,
             degrade: None,
         }
@@ -188,7 +185,7 @@ impl Default for IngressConfig {
 }
 
 impl IngressConfig {
-    /// Validate the window.
+    /// Validate the batch and queue bounds.
     pub fn validate(&self) -> Result<(), DaakgError> {
         if self.max_batch == 0 {
             return Err(DaakgError::invalid(
@@ -200,16 +197,6 @@ impl IngressConfig {
             return Err(DaakgError::invalid(
                 "IngressConfig",
                 format!("max_batch {} exceeds the 65536 maximum", self.max_batch),
-            ));
-        }
-        if self.max_wait > Duration::from_secs(1) {
-            return Err(DaakgError::invalid(
-                "IngressConfig",
-                format!(
-                    "max_wait {:?} exceeds the 1 s maximum — the window is \
-                     a queueing delay every lone query pays",
-                    self.max_wait
-                ),
             ));
         }
         if self.max_queue < self.max_batch {
@@ -465,7 +452,7 @@ impl IngressBackend for AlignmentService {
     }
 }
 
-/// The running ingress: a queue, a worker thread, and the window
+/// The running ingress: a queue, a worker thread, and its
 /// configuration. Dropping it shuts the worker down after draining every
 /// pending query — drained queries get real answers, anything left is
 /// woken with [`DaakgError::Shutdown`]; no caller is left blocked.
@@ -621,9 +608,15 @@ impl Drop for Ingress {
 }
 
 fn worker_loop<B: IngressBackend>(cfg: IngressConfig, shared: Arc<IngressShared>, backend: Arc<B>) {
+    // How many callers of the previous dispatch to expect back, and when
+    // its window closes (its end plus its execute time).
+    let (mut callers, mut window_end) = (0, Instant::now());
     loop {
         let batch = {
             let mut queue = lock_recover(&shared.queue);
+            // Expect the previous callers back plus every query that
+            // queued while their batch executed.
+            let expect = (callers + queue.pending.len()).min(cfg.max_batch);
             // Sleep until traffic (or shutdown) arrives.
             while queue.pending.is_empty() {
                 if queue.shutdown {
@@ -634,21 +627,23 @@ fn worker_loop<B: IngressBackend>(cfg: IngressConfig, shared: Arc<IngressShared>
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            // The window opens with the oldest pending query: collect
-            // until the batch fills or `max_wait` elapses. Shutdown
-            // short-circuits the wait but still drains what's queued.
-            let deadline = Instant::now() + cfg.max_wait;
-            while queue.pending.len() < cfg.max_batch && !queue.shutdown {
+            // Collect until the expected queries are pending or the
+            // window closes. Shutdown short-circuits the wait but still
+            // drains what's queued.
+            while queue.pending.len() < expect && !queue.shutdown {
                 let now = Instant::now();
-                if now >= deadline {
+                if now >= window_end {
                     break;
                 }
                 queue = shared
                     .arrived
-                    .wait_timeout(queue, deadline - now)
+                    .wait_timeout(queue, window_end - now)
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
+            // A window that closed short has shown its callers are not
+            // coming back (open-loop traffic): expect none of this batch's.
+            let missed = queue.pending.len() < expect;
             // Watermark check with hysteresis, on the depth the drain
             // observes: engage at `high`, disengage at `low`, hold the
             // previous state in between.
@@ -672,6 +667,7 @@ fn worker_loop<B: IngressBackend>(cfg: IngressConfig, shared: Arc<IngressShared>
                 }
             }
             let take = queue.pending.len().min(cfg.max_batch);
+            callers = if missed { 0 } else { take };
             queue.pending.drain(..take).collect::<Vec<_>>()
         };
         // Shed what already missed its deadline — dead work would only
@@ -706,6 +702,8 @@ fn worker_loop<B: IngressBackend>(cfg: IngressConfig, shared: Arc<IngressShared>
         };
         let _execute = shared.metrics.execute.span();
         dispatch(backend.as_ref(), live, degrade_nprobe, &shared);
+        let end = Instant::now();
+        window_end = end + (end - now);
     }
 }
 
@@ -799,11 +797,6 @@ mod tests {
             ..IngressConfig::default()
         };
         assert!(huge.validate().is_err());
-        let slow = IngressConfig {
-            max_wait: Duration::from_secs(5),
-            ..IngressConfig::default()
-        };
-        assert!(slow.validate().is_err());
         let shallow = IngressConfig {
             max_batch: 64,
             max_queue: 32,
@@ -927,6 +920,11 @@ mod tests {
         /// When present, `query_batch`/`query` block until this gate is
         /// opened — lets tests pile up a queue deterministically.
         gate: Option<Arc<(Mutex<bool>, Condvar)>>,
+        /// How long each `query_batch` takes to execute.
+        exec: Duration,
+        /// Every completed `query_batch` call: (start, end, batch size),
+        /// the time held at the gate included.
+        dispatches: Mutex<Vec<(Instant, Instant, usize)>>,
     }
 
     impl ChaosBackend {
@@ -936,6 +934,15 @@ mod tests {
                 panic_on: Vec::new(),
                 has_index: false,
                 gate: None,
+                exec: Duration::ZERO,
+                dispatches: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn paced(exec: Duration) -> Self {
+            Self {
+                exec,
+                ..Self::answering(1)
             }
         }
 
@@ -987,10 +994,17 @@ mod tests {
             queries: &[u32],
             _opts: QueryOptions,
         ) -> Result<Versioned<Vec<Ranking>>, DaakgError> {
+            let start = Instant::now();
             self.wait_gate();
+            std::thread::sleep(self.exec);
+            let value = queries.iter().map(|&q| self.answer(q)).collect();
+            self.dispatches
+                .lock()
+                .unwrap()
+                .push((start, Instant::now(), queries.len()));
             Ok(Versioned {
                 version: SnapshotVersion::of(self.version),
-                value: queries.iter().map(|&q| self.answer(q)).collect(),
+                value,
                 deltas_merged: 0,
             })
         }
@@ -1005,25 +1019,39 @@ mod tests {
     /// same batch still gets its exact answer.
     #[test]
     fn panicking_query_is_isolated_to_its_own_waiter() {
+        let (gated, gate) = ChaosBackend::gated();
         let backend = Arc::new(ChaosBackend {
             panic_on: vec![5],
-            ..ChaosBackend::answering(1)
+            ..gated
         });
         let ingress = Arc::new(Ingress::start(
             IngressConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(5),
                 ..IngressConfig::default()
             },
             backend,
             &Telemetry::default(),
         ));
+        // Hold one dispatch at the gate while ten peers queue behind it,
+        // so query 5 shares its batch with the nine others.
+        let first = {
+            let ingress = Arc::clone(&ingress);
+            std::thread::spawn(move || ingress.submit(100, QueryOptions::rank()))
+        };
+        while ingress.stats().batches == 0 {
+            std::thread::yield_now();
+        }
         let waiters: Vec<_> = (0..10u32)
             .map(|q| {
                 let ingress = Arc::clone(&ingress);
                 std::thread::spawn(move || (q, ingress.submit(q, QueryOptions::rank())))
             })
             .collect();
+        while ingress.stats().queries < 11 {
+            std::thread::yield_now();
+        }
+        open_gate(&gate);
+        first.join().unwrap().expect("the held query is answered");
         for waiter in waiters {
             let (q, outcome) = waiter.join().expect("client thread survives");
             if q == 5 {
@@ -1040,7 +1068,9 @@ mod tests {
                 assert_eq!(served, QueryMode::Exact);
             }
         }
-        assert!(ingress.stats().panics >= 1);
+        let stats = ingress.stats();
+        assert_eq!(stats.panics, 1);
+        assert_eq!(stats.batches, 2, "query 5 shared one batch with its peers");
         // The worker survived: the ingress keeps serving.
         let (after, _) = ingress
             .submit(2, QueryOptions::rank())
@@ -1056,7 +1086,6 @@ mod tests {
         let (backend, gate) = ChaosBackend::gated();
         let cfg = IngressConfig {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             max_queue: 4,
             degrade: None,
         };
@@ -1135,7 +1164,6 @@ mod tests {
         let (backend, gate) = ChaosBackend::gated();
         let cfg = IngressConfig {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             ..IngressConfig::default()
         };
         let ingress = Arc::new(Ingress::start(
@@ -1194,7 +1222,6 @@ mod tests {
         backend.has_index = true;
         let cfg = IngressConfig {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             max_queue: 1024,
             degrade: Some(DegradePolicy {
                 high_watermark: 4,
@@ -1270,7 +1297,6 @@ mod tests {
         assert!(!backend.has_index);
         let cfg = IngressConfig {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             max_queue: 1024,
             degrade: Some(DegradePolicy {
                 high_watermark: 2,
@@ -1318,7 +1344,6 @@ mod tests {
         let (backend, gate) = ChaosBackend::gated();
         let cfg = IngressConfig {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             ..IngressConfig::default()
         };
         let ingress = Ingress::start(cfg, Arc::new(backend), &Telemetry::default());
@@ -1382,5 +1407,104 @@ mod tests {
         // Un-wedge the flag so Drop's worker join terminates.
         lock_recover(&ingress.shared.queue).shutdown = false;
         drop(ingress);
+    }
+
+    /// Closed loop: with N synchronous clients and `max_batch` N, every
+    /// client comes back within one dispatch, so the derived window keeps
+    /// the batches full (with no window they split).
+    #[test]
+    fn closed_loop_clients_coalesce_into_full_batches() {
+        for clients in [2u32, 4, 8] {
+            let ingress = Ingress::start(
+                IngressConfig {
+                    max_batch: clients as usize,
+                    ..IngressConfig::default()
+                },
+                Arc::new(ChaosBackend::paced(Duration::from_millis(2))),
+                &Telemetry::default(),
+            );
+            let rounds = 50u32;
+            std::thread::scope(|scope| {
+                for c in 0..clients {
+                    let ingress = &ingress;
+                    scope.spawn(move || {
+                        for r in 0..rounds {
+                            let q = c * rounds + r;
+                            let (answer, _) =
+                                ingress.submit(q, QueryOptions::rank()).expect("answered");
+                            assert_eq!(answer.value, vec![(q, q as f32)]);
+                        }
+                    });
+                }
+            });
+            let stats = ingress.stats();
+            assert_eq!(stats.queries, u64::from(clients * rounds));
+            let mean = stats.queries as f64 / stats.batches as f64;
+            assert!(
+                mean >= 0.9 * f64::from(clients),
+                "{clients} clients: mean batch {mean:.2} ({stats:?})"
+            );
+        }
+    }
+
+    /// The derived window lasts at most one dispatch: queries the worker
+    /// expects but that never arrive hold a batch back for no longer than
+    /// the previous dispatch took. A window that closed short expects
+    /// none of its callers back, so the next query goes out at once, as
+    /// does a lone query on an idle ingress.
+    #[test]
+    fn derived_window_waits_at_most_one_dispatch_and_never_when_idle() {
+        const EXEC: Duration = Duration::from_millis(80);
+        let slack = EXEC / 2;
+        let (gated, gate) = ChaosBackend::gated();
+        let backend = Arc::new(ChaosBackend { exec: EXEC, ..gated });
+        let ingress = Ingress::start(
+            IngressConfig::default(),
+            Arc::clone(&backend),
+            &Telemetry::default(),
+        );
+        // Query 0 is held at the gate while 1 and 2 queue behind it. Its
+        // dispatch then leads the worker to expect three queries: its own
+        // caller back, plus the two. Query 0's caller never comes back.
+        let mut tickets = vec![ingress
+            .submit_ticket(0, QueryOptions::rank())
+            .expect("admitted")];
+        while ingress.stats().batches == 0 {
+            std::thread::yield_now();
+        }
+        for q in 1..3 {
+            tickets.push(ingress.submit_ticket(q, QueryOptions::rank()).expect("admitted"));
+        }
+        open_gate(&gate);
+        for ticket in tickets {
+            ticket.wait().expect("answered");
+        }
+        // The pair's window closed short: query 3 right after it, and
+        // query 4 after an idle spell, each go out alone at once.
+        let mut lone = Vec::new();
+        for q in 3..5 {
+            let submitted = Instant::now();
+            ingress.submit(q, QueryOptions::rank()).expect("answered");
+            lone.push(submitted);
+            std::thread::sleep(2 * EXEC);
+        }
+        let dispatches = backend.dispatches.lock().unwrap().clone();
+        let sizes: Vec<usize> = dispatches.iter().map(|d| d.2).collect();
+        assert_eq!(sizes, vec![1, 2, 1, 1]);
+        let (start0, end0, _) = dispatches[0];
+        let waited = dispatches[1].0 - end0;
+        assert!(
+            waited >= end0 - start0,
+            "the pair went out before the window closed: {waited:?}"
+        );
+        assert!(
+            waited <= end0 - start0 + slack,
+            "the pair waited {waited:?}, past one dispatch ({:?})",
+            end0 - start0
+        );
+        for (dispatch, submitted) in dispatches[2..].iter().zip(lone) {
+            let waited = dispatch.0 - submitted;
+            assert!(waited < slack, "a lone query waited {waited:?}");
+        }
     }
 }

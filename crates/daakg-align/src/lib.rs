@@ -42,11 +42,11 @@
 //!   publish) and [`ShardedService`], its `n`-partition front-end, merged
 //!   bitwise-identically to the unsharded scan,
 //! * [`ingress`] — the micro-batching ingress coalescing concurrent
-//!   single queries into batched kernel dispatches under a configurable
-//!   time/size window ([`IngressConfig`]) — with overload resilience:
-//!   bounded-queue admission control, per-query deadlines, panic
-//!   isolation at the dispatch boundary, typed shutdown, and opt-in
-//!   graceful degradation ([`DegradePolicy`]),
+//!   single queries into batched kernel dispatches under a window
+//!   derived from the previous dispatch ([`IngressConfig`]) — with
+//!   overload resilience: bounded-queue admission control, per-query
+//!   deadlines, panic isolation at the dispatch boundary, typed
+//!   shutdown, and opt-in graceful degradation ([`DegradePolicy`]),
 //! * [`delta`] — **live KG updates**: an append-only delta layer
 //!   ([`AlignmentService::upsert_entity`]) accepting new right-KG
 //!   entities while serving, warm-start fine-tuned embeddings

@@ -1178,20 +1178,29 @@ impl AlignmentService {
             let stats = Arc::clone(&stats);
             let fold_lock = Arc::clone(&fold_lock);
             let index = self.serving.index.clone();
-            Box::new(move || {
+            let compact_after = cfg.compact_after;
+            Box::new(move |nudged: bool| {
                 let _guard = lock_recover(&fold_lock);
+                // A tick folds whatever is pending; a nudge folds only
+                // past the threshold: upserts that land while a fold runs
+                // still count the entries it folds, and their nudges must
+                // not start a second fold of the few that arrived
+                // meanwhile. A nudge for a filling log file needs only
+                // the roll below.
                 // Persist failures are already recorded in the shared
                 // health counters; the tick has no caller to surface the
                 // error to, so it is dropped here after recording. A
                 // failed log roll is retried on the next tick.
-                let _ = fold_once(
-                    &registry,
-                    &durable,
-                    &buffer,
-                    log.as_deref(),
-                    &stats,
-                    index.as_ref(),
-                );
+                if !nudged || buffer.depth() >= compact_after {
+                    let _ = fold_once(
+                        &registry,
+                        &durable,
+                        &buffer,
+                        log.as_deref(),
+                        &stats,
+                        index.as_ref(),
+                    );
+                }
                 if let Some(log) = &log {
                     let _ = log.maintain();
                 }
@@ -2706,6 +2715,44 @@ mod tests {
         let post = svc.query(0, QueryOptions::rank()).unwrap();
         assert_eq!(post.deltas_merged, 0);
         assert_eq!(post.value.len(), n2 + 2, "folded corpus serves plainly");
+    }
+
+    /// A nudge folds only past the threshold. Upserts that land while a
+    /// fold runs nudge with the entries it folds still counted; those
+    /// nudges must not start a second fold of the few that arrived
+    /// meanwhile. Here a nudge with one entry pending (threshold 2)
+    /// leaves it pending, and the upsert that reaches the threshold folds.
+    #[test]
+    fn compactor_nudge_below_the_threshold_does_not_fold() {
+        let mut svc = example_service();
+        svc.enable_live(LiveConfig {
+            compact_after: 2,
+            tick: std::time::Duration::from_secs(3600),
+            ..LiveConfig::default()
+        })
+        .unwrap();
+        svc.upsert_entity(&[triple(0, 0)]).unwrap();
+        let live = svc.live.as_ref().unwrap();
+        live.compactor.as_ref().unwrap().nudge();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        // The nudged run has finished (it took the fold lock, or never
+        // started): with the lock held here, nothing is mid-fold.
+        drop(lock_recover(&live.fold_lock));
+        let health = svc.live_health().unwrap();
+        assert_eq!((health.compactions, health.delta_depth), (0, 1));
+        svc.upsert_entity(&[triple(0, 1)]).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let health = svc.live_health().unwrap();
+            if health.compactions == 1 && health.delta_depth == 0 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the threshold nudge never folded: {health:?}"
+            );
+            std::thread::yield_now();
+        }
     }
 
     /// A fold whose persist fails must NOT retire the folded delta log

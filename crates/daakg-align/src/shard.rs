@@ -257,7 +257,7 @@ impl ShardedService {
 
     /// [`ShardedService::new`] with a micro-batching ingress in front of
     /// the single-query path: concurrent [`ShardedService::query`] calls
-    /// coalesce under `ingress`'s time/size window into one batched
+    /// coalesce under the ingress's derived window into one batched
     /// kernel dispatch (see [`IngressConfig`]).
     pub fn with_ingress(
         service: AlignmentService,
@@ -294,7 +294,7 @@ impl ShardedService {
         self.service.shards()
     }
 
-    /// The ingress window configuration, when one is running.
+    /// The ingress configuration, when one is running.
     pub fn ingress_config(&self) -> Option<IngressConfig> {
         self.ingress.as_ref().map(Ingress::config)
     }

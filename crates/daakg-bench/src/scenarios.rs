@@ -1232,7 +1232,8 @@ fn sharded_closed_loop(
 ///    dispatch alone. Same queue, same worker thread, no coalescing.
 /// 3. **Micro-batched ingress** — the same load through a
 ///    `max_batch: clients` window: concurrent queries coalesce into
-///    batched kernel dispatches. `speedup` is (2) over (3) wall-clock;
+///    batched kernel dispatches, and `verified` requires a mean batch
+///    of at least 0.9 · clients. `speedup` is (2) over (3) wall-clock;
 ///    p50/p95/p99 queueing-inclusive latencies come from this phase.
 fn serve_sharded(cfg: &BenchConfig) -> ScenarioResult {
     use daakg::{IngressConfig, ShardedService};
@@ -1333,6 +1334,10 @@ fn serve_sharded(cfg: &BenchConfig) -> ScenarioResult {
     verified &= batched_coherent;
     let stats = batched.ingress_stats().expect("ingress running");
     verified &= stats.queries == total as u64 && stats.batches >= 1;
+    // Closed-loop callers must keep coalescing: each comes back within
+    // one dispatch, so batches stay (nearly) `clients` wide.
+    let mean_batch = stats.queries as f64 / (stats.batches as f64).max(1.0);
+    verified &= mean_batch >= 0.9 * clients as f64;
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
 
     // Post-timing bitwise oracle for the ingress path itself.
@@ -1357,10 +1362,7 @@ fn serve_sharded(cfg: &BenchConfig) -> ScenarioResult {
         .metric("p50_us", percentile_us(&latencies, 50.0))
         .metric("p95_us", percentile_us(&latencies, 95.0))
         .metric("p99_us", percentile_us(&latencies, 99.0))
-        .metric(
-            "mean_batch",
-            stats.queries as f64 / (stats.batches as f64).max(1.0),
-        )
+        .metric("mean_batch", mean_batch)
         .metric("entities", entities as f64)
         .metric("clients", clients as f64)
         .metric("k", k as f64)
@@ -2140,7 +2142,6 @@ fn telemetry_overhead(cfg: &BenchConfig) -> ScenarioResult {
                 low_watermark: 2,
                 nprobe: 1,
             }),
-            ..IngressConfig::default()
         })
         .build_sharded()
         .expect("valid overload pipeline");

@@ -146,6 +146,7 @@
 //! | per-upsert `d0000000042.dseg` segment files in a live store | one delta log (`l<lineage>-<first id>.dlog`); a store still holding a `.dseg` is refused at `enable_live` with a typed `Corrupt` naming it |
 //! | `service.prune_shared(k)` (**removed**) | `service.prune(k)` (`&self`, exact, returns the count freed; `prune_with_store(k)` also takes `&self` now) |
 //! | `sharded.train(&labels)` / `sharded.align_rounds(&labels, n)` (**removed**) | `sharded.service().train(&labels)?` / `sharded.service().align_rounds(&labels, n)?` (every publish now builds its version's partitions, so there is nothing to pre-warm; `sharded.prewarm()` is a no-op) |
+//! | `IngressConfig { max_wait, .. }` (**removed**) | `IngressConfig { max_batch, max_queue, degrade }` — the coalescing wait is derived from the previous dispatch (its callers plus what queued meanwhile, for at most its execute time), so there is nothing to tune |
 //!
 //! Holding an `Arc<AlignmentSnapshot>` from [`AlignmentService::current`]
 //! pins that version for as long as needed — retraining never invalidates

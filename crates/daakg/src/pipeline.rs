@@ -272,7 +272,7 @@ impl PipelineBuilder {
 
     /// Put a micro-batching ingress in front of the sharded service:
     /// concurrent single queries are coalesced into batched kernel
-    /// dispatches under the window's time/size bounds. Implies
+    /// dispatches of at most `max_batch`. Implies
     /// [`PipelineBuilder::build_sharded`]; with no explicit
     /// [`PipelineBuilder::shards`] the shard count defaults to the worker
     /// thread count.
